@@ -5,8 +5,8 @@ the earlier one, the measurement outcome beta at the later one. With times
 drawn uniformly on the unit square, exactly simultaneous events have
 probability zero in the continuum; in floating point the rare equal pair is
 re-drawn and counted. The outcome stream itself never depends on the time
-mode or on how the trial range is batched, which is what makes every run
-replayable from its seed alone.
+mode or on how the trial range is cut into internal blocks, which is what
+makes every run replayable from its seed alone.
 
 Run:  python3 demos/time_ordered_ensemble.py
 """
@@ -32,7 +32,7 @@ def main():
         n_pairs=500_000,
         seed=20240817,
     )
-    report = run_simulation(config, n_chunks=4)
+    report = run_simulation(config)
 
     print(f"{config.n_pairs} trials at xi = pi/3, eta = pi/6, seed {config.seed}")
     print("  cell   count     estimate   std error   analytic")
@@ -47,7 +47,7 @@ def main():
     print(f"  correlation: {report.estimated_correlation:+.6f} (analytic -0.5)")
     print()
 
-    stats = time_order_statistics(config, n_chunks=4)
+    stats = time_order_statistics(config)
     print("ordered time-pair structure (uniform square):")
     print(f"  mean gap {stats.mean_gap:.6f}  (1/3 = {1/3:.6f})")
     print(f"  std gap  {stats.std_gap:.6f}  (sqrt(1/18) = {math.sqrt(1/18):.6f})")
@@ -61,13 +61,13 @@ def main():
         seed=config.seed,
         time_distribution=TimeDistribution.FIXED_ORDER,
     )
-    fixed_report = run_simulation(fixed, n_chunks=4)
+    fixed_report = run_simulation(fixed)
     same = np.array_equal(report.counts, fixed_report.counts)
     print(f"fixed-order mode reuses the same outcome words: counts identical -> {same}")
 
-    rechunked = run_simulation(config, n_chunks=37)
-    print(f"37 batches instead of 4: report byte-identical -> "
-          f"{rechunked.to_json() == report.to_json()}")
+    replayed = run_simulation(config)
+    print(f"same seed, second run: report byte-identical -> "
+          f"{replayed.to_json() == report.to_json()}")
 
 
 if __name__ == "__main__":

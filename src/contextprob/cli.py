@@ -349,9 +349,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as stream:
-            report = run_simulation(config, n_chunks=args.chunks, trial_log=stream)
+            report = run_simulation(config, trial_log=stream)
     else:
-        report = run_simulation(config, n_chunks=args.chunks)
+        report = run_simulation(config)
     analytic = conditional_probabilities(config.angles.delta)
     analytic_corr = setting_correlation(config.angles.delta, config.marginal_c)
 
@@ -401,9 +401,7 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
         return 2
     seed = _resolve_seed(args.seed)
     marginal = BinaryDistribution.from_p_plus(args.marginal)
-    s_estimate = simulate_chsh(
-        a, a_prime, b, b_prime, marginal, args.n, seed, n_chunks=args.chunks
-    )
+    s_estimate = simulate_chsh(a, a_prime, b, b_prime, marginal, args.n, seed)
     s_analytic = chsh(a, a_prime, b, b_prime, marginal)
     baseline = None
     if args.baseline:
@@ -526,8 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--time-dist", choices=[t.value for t in TimeDistribution],
                        default=TimeDistribution.UNIFORM_SQUARE.value,
                        help="how event times are drawn (default: uniform-square)")
-    p_sim.add_argument("--chunks", type=_positive_int, default=1,
-                       help="batches to process trials in; never changes results (default: 1)")
     p_sim.add_argument("--trace", metavar="PATH",
                        help="write one JSON line per trial to this file")
     _add_output_options(p_sim)
@@ -546,8 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trials per setting pair")
     p_chsh.add_argument("--seed", type=_uint64, default=None,
                         help="root seed (default: fresh entropy, echoed in the output)")
-    p_chsh.add_argument("--chunks", type=_positive_int, default=1,
-                        help="batches per setting pair; never changes results (default: 1)")
     p_chsh.add_argument("--baseline", choices=[s.value for s in LhvStrategy], default=None,
                         help="also run a local hidden-variable baseline from the same seed")
     _add_output_options(p_chsh)

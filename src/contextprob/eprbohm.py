@@ -138,8 +138,11 @@ def conditional_probabilities(delta: float) -> np.ndarray:
     Row index is the ``b`` result, column index the selection outcome, in the
     usual (+1, -1) order. For ``delta = xi - eta`` this reproduces
     :func:`epr_bohm_probabilities`; any real ``delta`` is accepted, which is
-    what the multi-setting correlation scans need.
+    what the multi-setting correlation scans need; a non-finite one raises
+    :class:`PreconditionViolation`.
     """
+    if not math.isfinite(delta):
+        raise PreconditionViolation(f"angle difference must be finite, got {delta}")
     s2 = math.sin(delta) ** 2
     c2 = math.cos(delta) ** 2
     return np.array([[s2, c2], [c2, s2]])
@@ -278,7 +281,8 @@ def chsh(
 
     Each ``E`` is :func:`setting_correlation` of the corresponding setting
     difference. At settings ``(0, pi/4, pi/8, 3*pi/8)`` the value is
-    ``-2 sqrt(2)``, the extreme of this family.
+    ``-2 sqrt(2)``, the extreme of this family. A non-finite setting, or
+    settings whose difference overflows, raise :class:`PreconditionViolation`.
     """
     return (
         setting_correlation(a - b, marginal_c)

@@ -16,13 +16,16 @@ Trial ``i`` owns the four 64-bit words at counter ``i`` (one Philox block):
     word 2: uniform deciding gamma
     word 3: uniform deciding beta
 
-Because block ``i`` is addressable directly, the trial range can be cut into
-any number of contiguous chunks and processed in any grouping without changing
-a single outcome; ``n_chunks`` only controls batch size. The fixed-order time
-mode skips words 0 and 1 but never re-purposes them, so switching time modes
-leaves the (gamma, beta) stream untouched. The rare trial whose two time words
-compare equal as floats is re-drawn from a reserved counter range far above
-the trial range (offset ``2**64``), again addressed by trial index.
+Because block ``i`` is addressable directly, the trial range can be cut at
+any trial boundary without changing a single outcome. Trials are processed in
+blocks of a fixed internal size, so peak memory does not grow with the trial
+count; the block size never changes an output byte. Each word decides its
+uniform ``u = (word >> 11) * 2**-53`` exactly as ``Generator.random`` does,
+compared as an integer. The fixed-order time mode skips words 0 and 1 but
+never re-purposes them, so switching time modes leaves the (gamma, beta)
+stream untouched. The rare trial whose two time words compare equal as floats
+is re-drawn from a reserved counter range far above the trial range (offset
+``2**64``), again addressed by trial index.
 
 Four-setting scans derive one child seed per setting pair from the root seed,
 so the pairs are independent but the whole scan replays from a single integer.
@@ -42,6 +45,9 @@ from .core import BinaryDistribution
 from .eprbohm import AnglePair, conditional_probabilities
 from .errors import InvalidCount, PreconditionViolation
 
+_BLOCK = 1 << 16  # trials per pass of the counting loop
+_MANTISSA_SHIFT = np.uint64(11)
+_UNIT = 2.0**-53  # Generator.random() is (word >> 11) * _UNIT
 _REDRAW_COUNTER_BASE = 1 << 64
 _SEED_LIMIT = 1 << 64
 
@@ -64,6 +70,16 @@ def _require_count(n: int, name: str) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidCount(f"{name} must be a positive integer, got {n!r}")
     return int(n)
+
+
+def _require_finite_settings(
+    a: float, a_prime: float, b: float, b_prime: float
+) -> tuple[float, float, float, float]:
+    settings = (float(a), float(a_prime), float(b), float(b_prime))
+    for name, value in zip(("a", "a'", "b", "b'"), settings):
+        if not math.isfinite(value):
+            raise PreconditionViolation(f"setting {name} must be finite, got {value}")
+    return settings
 
 
 def _require_seed(seed: int) -> int:
@@ -250,17 +266,42 @@ def _child_seed(seed: int, branch: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _chunk_bounds(n: int, n_chunks: int) -> list[tuple[int, int]]:
-    n_chunks = max(1, min(int(n_chunks), n))
-    edges = [i * n // n_chunks for i in range(n_chunks + 1)]
-    return [(edges[i], edges[i + 1]) for i in range(n_chunks) if edges[i + 1] > edges[i]]
+def _threshold(p: float) -> int:
+    # Generator.random() < p  <=>  (raw >> 11) < ceil(p * 2**53); scaling by a
+    # power of two is exact, so no double rounds the wrong way.
+    return math.ceil(p * 2**53)
 
 
-def _trial_words(key: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    # Philox counter k maps to words [4k, 4k+4); Generator.random consumes one
-    # word per double, so row i of the reshape is exactly trial lo+i.
-    gen = np.random.Generator(np.random.Philox(key=key, counter=lo))
-    return gen.random(4 * (hi - lo)).reshape(hi - lo, 4)
+def _uniform_bits(raw: np.ndarray) -> np.ndarray:
+    """The 53-bit integers ``k`` of raw Philox words, shifted in place.
+
+    numpy's Philox double is ``k * 2**-53`` with ``k = raw >> 11``, so two
+    doubles are equal exactly when their ``k`` are, and the low 11 bits of a
+    word never matter.
+    """
+    raw >>= _MANTISSA_SHIFT
+    return raw
+
+
+def _word_blocks(key: np.ndarray, n: int, width: int = 4, first_word: int = 0):
+    """Yield ``(lo, bits)`` for trials ``lo, lo + 1, ...`` of ``n``, ``_BLOCK`` at a time.
+
+    Row ``i`` of ``bits`` holds the ``width`` words of trial ``lo + i``, which
+    start at word ``first_word + width * (lo + i)`` of the Philox stream for
+    ``key``, as :func:`_uniform_bits`. With the default ``width`` of 4, trial
+    ``i`` owns exactly Philox block ``i``. The stream is read in order, so the
+    block size never changes a word.
+    """
+    bitgen = np.random.Philox(key=key, counter=first_word // 4)
+    bitgen.random_raw(first_word % 4)
+    for lo in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - lo)
+        yield lo, _uniform_bits(bitgen.random_raw(width * m).reshape(m, width))
+
+
+def _tied_trials(bits: np.ndarray) -> list[int]:
+    # Rows whose two time candidates are the same double.
+    return np.flatnonzero(bits[:, 0] == bits[:, 1]).tolist()
 
 
 def _resolve_equal_times(key: np.ndarray, trial_index: int) -> tuple[float, float, int]:
@@ -277,55 +318,45 @@ def _resolve_equal_times(key: np.ndarray, trial_index: int) -> tuple[float, floa
         redraws += 1
 
 
+def _count_redraws(key: np.ndarray, lo: int, bits: np.ndarray) -> int:
+    return sum(_resolve_equal_times(key, lo + idx)[2] for idx in _tied_trials(bits))
+
+
 def _ordered_times(
     key: np.ndarray,
     lo: int,
-    words: np.ndarray,
+    bits: np.ndarray,
     time_distribution: TimeDistribution,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    m = words.shape[0]
+    m = bits.shape[0]
     if time_distribution is TimeDistribution.FIXED_ORDER:
         return np.zeros(m), np.ones(m), 0
-    t1 = words[:, 0].copy()
-    t2 = words[:, 1].copy()
+    t1 = bits[:, 0] * _UNIT
+    t2 = bits[:, 1] * _UNIT
     n_redraws = 0
-    for idx in np.flatnonzero(t1 == t2):
-        a, b, redraws = _resolve_equal_times(key, lo + int(idx))
-        t1[idx], t2[idx] = a, b
+    for idx in _tied_trials(bits):
+        t1[idx], t2[idx], redraws = _resolve_equal_times(key, lo + idx)
         n_redraws += redraws
     return np.minimum(t1, t2), np.maximum(t1, t2), n_redraws
-
-
-def _outcome_signs(
-    words: np.ndarray, cond: np.ndarray, q_plus: float
-) -> tuple[np.ndarray, np.ndarray]:
-    gamma = np.where(words[:, 2] < q_plus, 1, -1)
-    p_plus_given = np.where(gamma == 1, cond[0, 0], cond[0, 1])
-    beta = np.where(words[:, 3] < p_plus_given, 1, -1)
-    return gamma, beta
-
-
-def _accumulate_counts(counts: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> None:
-    for i, b in enumerate((1, -1)):
-        for j, g in enumerate((1, -1)):
-            counts[i, j] += int(np.count_nonzero((beta == b) & (gamma == g)))
 
 
 def _write_trial_lines(
     stream: IO[str],
     t_sel: np.ndarray,
     t_meas: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
+    gamma_minus: np.ndarray,
+    beta_minus: np.ndarray,
 ) -> None:
-    for k in range(len(gamma)):
-        record = TrialRecord(
-            t_selection=float(t_sel[k]),
-            t_measurement=float(t_meas[k]),
-            gamma=int(gamma[k]),
-            beta=int(beta[k]),
+    # The bytes json.dumps(TrialRecord(...).to_dict()) gives: json writes a
+    # float as its repr. Lines are streamed, never held as one block's text.
+    sign = (1, -1)
+    stream.writelines(
+        f'{{"t_selection": {a!r}, "t_measurement": {b!r}, '
+        f'"gamma": {sign[g]}, "beta": {sign[h]}}}\n'
+        for a, b, g, h in zip(
+            t_sel.tolist(), t_meas.tolist(), gamma_minus.tolist(), beta_minus.tolist()
         )
-        stream.write(json.dumps(record.to_dict()) + "\n")
+    )
 
 
 def _simulate_counts(
@@ -333,37 +364,35 @@ def _simulate_counts(
     q_plus: float,
     n: int,
     key: np.ndarray,
-    n_chunks: int,
     time_distribution: TimeDistribution,
     trial_log: IO[str] | None = None,
 ) -> tuple[np.ndarray, int]:
-    counts = np.zeros((2, 2), dtype=np.int64)
+    t_gamma = _threshold(q_plus)
+    t_beta = np.array([_threshold(cond[0, 0]), _threshold(cond[0, 1])], dtype=np.uint64)
+    counts = np.zeros(4, dtype=np.int64)
     n_redraws = 0
-    for lo, hi in _chunk_bounds(n, n_chunks):
-        words = _trial_words(key, lo, hi)
-        gamma, beta = _outcome_signs(words, cond, q_plus)
-        _accumulate_counts(counts, gamma, beta)
-        if trial_log is not None or time_distribution is TimeDistribution.UNIFORM_SQUARE:
-            t_sel, t_meas, redraws = _ordered_times(key, lo, words, time_distribution)
+    for lo, bits in _word_blocks(key, n):
+        gamma_minus = bits[:, 2] >= t_gamma
+        beta_minus = bits[:, 3] >= t_beta[gamma_minus.view(np.uint8)]
+        cells = beta_minus.view(np.uint8) << 1  # row-major index into counts
+        cells |= gamma_minus.view(np.uint8)
+        counts += np.bincount(cells, minlength=4)
+        if trial_log is not None:
+            t_sel, t_meas, redraws = _ordered_times(key, lo, bits, time_distribution)
+            _write_trial_lines(trial_log, t_sel, t_meas, gamma_minus, beta_minus)
             n_redraws += redraws
-            if trial_log is not None:
-                _write_trial_lines(trial_log, t_sel, t_meas, gamma, beta)
-    return counts, n_redraws
+        elif time_distribution is TimeDistribution.UNIFORM_SQUARE:
+            n_redraws += _count_redraws(key, lo, bits)
+    return counts.reshape(2, 2), n_redraws
 
 
-def run_simulation(
-    config: SimConfig, *, n_chunks: int = 1, trial_log: IO[str] | None = None
-) -> SimReport:
+def run_simulation(config: SimConfig, *, trial_log: IO[str] | None = None) -> SimReport:
     """Run one seeded ensemble and summarize it.
 
     Parameters
     ----------
     config:
         Angles, selection marginal, trial count, seed, and time mode.
-    n_chunks:
-        Number of contiguous batches to process the trial range in. Any value
-        yields bit-identical results; larger values bound peak memory for
-        large ``n_pairs``.
     trial_log:
         Optional text stream receiving one JSON object per trial
         (``t_selection``, ``t_measurement``, ``gamma``, ``beta``), in trial
@@ -380,7 +409,6 @@ def run_simulation(
         config.marginal_c.p_plus,
         config.n_pairs,
         key,
-        n_chunks,
         config.time_distribution,
         trial_log,
     )
@@ -411,7 +439,7 @@ def run_simulation(
     )
 
 
-def time_order_statistics(config: SimConfig, *, n_chunks: int = 1) -> TimeOrderStats:
+def time_order_statistics(config: SimConfig) -> TimeOrderStats:
     """Gap statistics of the ordered time pairs, without touching outcomes.
 
     Replays exactly the time words of :func:`run_simulation` for ``config``
@@ -419,10 +447,6 @@ def time_order_statistics(config: SimConfig, *, n_chunks: int = 1) -> TimeOrderS
     selection gaps. In the fixed-order mode every gap is 1 and there are no
     redraws. In the uniform-square mode the gap is the absolute difference of
     two independent uniforms, with mean 1/3 and variance 1/18.
-
-    The individual gaps, the extremes, and the redraw count are independent
-    of ``n_chunks``; the accumulated mean and standard deviation are one-pass
-    reductions, so their last bits can move with the batch width.
     """
     key = _philox_key(config.seed)
     n = config.n_pairs
@@ -431,9 +455,8 @@ def time_order_statistics(config: SimConfig, *, n_chunks: int = 1) -> TimeOrderS
     total_sq = 0.0
     gap_min = math.inf
     gap_max = -math.inf
-    for lo, hi in _chunk_bounds(n, n_chunks):
-        words = _trial_words(key, lo, hi)
-        t_sel, t_meas, redraws = _ordered_times(key, lo, words, config.time_distribution)
+    for lo, bits in _word_blocks(key, n):
+        t_sel, t_meas, redraws = _ordered_times(key, lo, bits, config.time_distribution)
         n_redraws += redraws
         gaps = t_meas - t_sel
         total += float(gaps.sum())
@@ -465,8 +488,6 @@ def simulate_chsh(
     marginal_c: BinaryDistribution,
     n_per_setting: int,
     seed: int,
-    *,
-    n_chunks: int = 1,
 ) -> float:
     """Monte Carlo estimate of the four-setting correlation combination.
 
@@ -475,19 +496,18 @@ def simulate_chsh(
     correlation from the counts, and combines them as
     ``E(a,b) - E(a,b') + E(a',b) + E(a',b')``.
     """
+    settings = _require_finite_settings(a, a_prime, b, b_prime)
     n_per_setting = _require_count(n_per_setting, "n_per_setting")
     seed = _require_seed(seed)
-    settings = (a, a_prime, b, b_prime)
     value = 0.0
     for k, (i, j) in enumerate(_CHSH_PAIR_ORDER):
         key = _philox_key(_child_seed(seed, 0, k))
-        cond = conditional_probabilities(float(settings[i]) - float(settings[j]))
+        cond = conditional_probabilities(settings[i] - settings[j])
         counts, _ = _simulate_counts(
             cond,
             marginal_c.p_plus,
             n_per_setting,
             key,
-            n_chunks,
             TimeDistribution.FIXED_ORDER,
         )
         estimate = (
@@ -518,19 +538,27 @@ def lhv_baseline_chsh(
     """
     if not isinstance(strategy, LhvStrategy):
         raise PreconditionViolation(f"strategy must be an LhvStrategy, got {strategy!r}")
-    n_per_setting = _require_count(n_per_setting, "n_per_setting")
+    settings = _require_finite_settings(a, a_prime, b, b_prime)
+    n = _require_count(n_per_setting, "n_per_setting")
     seed = _require_seed(seed)
-    settings = (a, a_prime, b, b_prime)
+    half = _threshold(0.5)
     value = 0.0
     for k, (i, j) in enumerate(_CHSH_PAIR_ORDER):
-        gen = np.random.Generator(np.random.Philox(key=_philox_key(_child_seed(seed, 1, k))))
-        x, y = float(settings[i]), float(settings[j])
+        key = _philox_key(_child_seed(seed, 1, k))
+        x, y = settings[i], settings[j]
+        agree = 0  # trials whose two sides output the same sign
         if strategy is LhvStrategy.DETERMINISTIC_SIGN:
-            hidden = gen.random(n_per_setting) * (2.0 * math.pi)
-            side_a = np.where(np.cos(x - hidden) >= 0.0, 1, -1)
-            side_b = np.where(np.cos(y - hidden) >= 0.0, 1, -1)
+            for _, bits in _word_blocks(key, n, width=1):
+                hidden = bits[:, 0] * _UNIT * (2.0 * math.pi)
+                agree += int(np.count_nonzero(
+                    (np.cos(x - hidden) >= 0.0) == (np.cos(y - hidden) >= 0.0)
+                ))
         else:
-            side_a = np.where(gen.random(n_per_setting) < 0.5, 1, -1)
-            side_b = np.where(gen.random(n_per_setting) < 0.5, 1, -1)
-        value += _CHSH_SIGNS[k] * float(np.mean(side_a * side_b))
+            # side a reads words 0 .. n-1, side b words n .. 2n-1
+            side_a = _word_blocks(key, n, width=1)
+            side_b = _word_blocks(key, n, width=1, first_word=n)
+            for (_, bits_a), (_, bits_b) in zip(side_a, side_b):
+                agree += int(np.count_nonzero((bits_a >= half) == (bits_b >= half)))
+        # the mean of the +-1 products, exact: an integer over n
+        value += _CHSH_SIGNS[k] * ((2 * agree - n) / n)
     return value

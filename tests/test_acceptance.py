@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from contextprob import simulation
 from contextprob import (
     DEFAULT_SIGNS,
     MINUS,
@@ -160,7 +161,7 @@ def test_criterion_5_monte_carlo_convergence():
             n_pairs=1_000_000,
             seed=seed,
         )
-        rep = run_simulation(cfg, n_chunks=4)
+        rep = run_simulation(cfg)
         return bool(
             np.all(np.abs(rep.estimated_conditionals - analytic) <= 4.0 * rep.std_errors)
         )
@@ -196,10 +197,11 @@ def test_criterion_6_four_setting_separation():
            f"{elapsed:.1f} s")
 
 
-def test_criterion_7_time_structure_invariance():
+def test_criterion_7_time_structure_invariance(monkeypatch):
     # the two time modes share one outcome stream, so their estimates agree
-    # exactly; no float-equal time pairs occur in a million trials at the
-    # default seed; and the mean ordered gap sits within 3 sigma of 1/3.
+    # exactly, whatever the internal block size; no float-equal time pairs
+    # occur in a million trials at the default seed; and the mean ordered gap
+    # sits within 3 sigma of 1/3.
     n = 1_000_000
     base = dict(
         angles=AnglePair(math.pi / 3.0, math.pi / 6.0),
@@ -209,15 +211,16 @@ def test_criterion_7_time_structure_invariance():
     )
     uniform_cfg = SimConfig(**base, time_distribution=TimeDistribution.UNIFORM_SQUARE)
     fixed_cfg = SimConfig(**base, time_distribution=TimeDistribution.FIXED_ORDER)
-    rep_uniform = run_simulation(uniform_cfg, n_chunks=4)
-    rep_fixed = run_simulation(fixed_cfg, n_chunks=4)
+    rep_uniform = run_simulation(uniform_cfg)
+    monkeypatch.setattr(simulation, "_BLOCK", 250_000)
+    rep_fixed = run_simulation(fixed_cfg)
     identical = bool(
         np.array_equal(rep_uniform.counts, rep_fixed.counts)
         and np.array_equal(
             rep_uniform.estimated_conditionals, rep_fixed.estimated_conditionals
         )
     )
-    stats = time_order_statistics(uniform_cfg, n_chunks=4)
+    stats = time_order_statistics(uniform_cfg)
     three_sigma = 3.0 * math.sqrt(1.0 / 18.0 / n)
     mean_ok = abs(stats.mean_gap - 1.0 / 3.0) <= three_sigma
     ok = identical and rep_uniform.n_redraws == 0 and stats.n_redraws == 0 and mean_ok
@@ -226,10 +229,13 @@ def test_criterion_7_time_structure_invariance():
            f"mean gap {stats.mean_gap:.6f} within {three_sigma:.6f} of 1/3")
 
 
-def test_criterion_8_byte_identical_determinism(capsys):
+def test_criterion_8_byte_identical_determinism(capsys, monkeypatch):
     # repeating any simulate or chsh invocation with the same seed, at any
     # internal batch width, reproduces the JSON output byte for byte.
-    def stdout_of(argv):
+    default_block = simulation._BLOCK
+
+    def stdout_of(argv, block=default_block):
+        monkeypatch.setattr(simulation, "_BLOCK", block)
         code = main(argv)
         out = capsys.readouterr().out
         assert code == 0
@@ -240,15 +246,15 @@ def test_criterion_8_byte_identical_determinism(capsys):
     runs = [
         stdout_of(sim),
         stdout_of(sim),
-        stdout_of(sim + ["--chunks", "13"]),
-        stdout_of(sim + ["--chunks", "64"]),
+        stdout_of(sim, block=13),
+        stdout_of(sim, block=64),
     ]
     sim_ok = len(set(runs)) == 1
     scan = ["chsh", "--optimal", "--n", "20000", "--seed", "2024", "--format", "json"]
     scans = [
         stdout_of(scan),
         stdout_of(scan),
-        stdout_of(scan + ["--chunks", "7"]),
+        stdout_of(scan, block=7),
     ]
     scan_ok = len(set(scans)) == 1
     ok = sim_ok and scan_ok

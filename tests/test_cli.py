@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from contextprob import simulation
 from contextprob.cli import main
 
 OPTIMAL_ARGS = ["--settings", "0,0.7853981633974483,0.39269908169872414,1.1780972450961724"]
@@ -208,11 +209,10 @@ class TestSimulateCommand:
         _, out2, _ = run(capsys, *self.BASE, "--n", "2000", "--seed", "42", "--format", "json")
         assert out1 == out2
 
-    def test_chunks_do_not_change_bytes(self, capsys):
+    def test_chunks_do_not_change_bytes(self, capsys, monkeypatch):
         _, out1, _ = run(capsys, *self.BASE, "--n", "3000", "--seed", "5", "--format", "json")
-        _, out2, _ = run(
-            capsys, *self.BASE, "--n", "3000", "--seed", "5", "--chunks", "7", "--format", "json"
-        )
+        monkeypatch.setattr(simulation, "_BLOCK", 7)
+        _, out2, _ = run(capsys, *self.BASE, "--n", "3000", "--seed", "5", "--format", "json")
         assert out1 == out2
 
     def test_time_mode_does_not_change_estimates(self, capsys):
@@ -336,15 +336,23 @@ class TestChshCommand:
         assert code == 2
         assert "--settings" in err
 
-    def test_same_seed_same_bytes_across_chunks(self, capsys):
-        _, out1, _ = run(
-            capsys, "chsh", "--optimal", "--n", "5000", "--seed", "3", "--format", "json"
-        )
-        _, out2, _ = run(
-            capsys, "chsh", "--optimal", "--n", "5000", "--seed", "3",
-            "--chunks", "6", "--format", "json",
-        )
+    def test_same_seed_same_bytes_across_chunks(self, capsys, monkeypatch):
+        argv = ["chsh", "--optimal", "--n", "5000", "--seed", "3",
+                "--baseline", "random-local", "--format", "json"]
+        _, out1, _ = run(capsys, *argv)
+        monkeypatch.setattr(simulation, "_BLOCK", 6)
+        _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_setting_exits_two(self, capsys, bad):
+        code, out, err = run(
+            capsys, "chsh", "--settings", f"{bad},0,0,0", "--n", "100", "--seed", "1",
+            "--baseline", "deterministic-sign",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: setting a must be finite")
 
 
 class TestParserBasics:

@@ -238,6 +238,11 @@ class TestCorrelation:
             assert lhs == pytest.approx(-math.cos(2.0 * delta), abs=1e-12)
             assert abs(lhs) <= 1.0 + 1e-15
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_difference(self, bad):
+        with pytest.raises(PreconditionViolation):
+            setting_correlation(bad, BinaryDistribution.uniform())
+
 
 class TestChsh:
     def test_optimal_settings_reach_the_extreme(self):
@@ -256,6 +261,18 @@ class TestChsh:
             a, ap, b, bp = rng.uniform(0.0, 2.0 * math.pi, size=4)
             s = chsh(float(a), float(ap), float(b), float(bp), BinaryDistribution.uniform())
             assert abs(s) <= bound + 1e-12
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_settings(self, bad):
+        for k in range(4):
+            settings = list(OPTIMAL)
+            settings[k] = bad
+            with pytest.raises(PreconditionViolation):
+                chsh(*settings, BinaryDistribution.uniform())
+
+    def test_rejects_a_difference_that_overflows(self):
+        with pytest.raises(PreconditionViolation):
+            chsh(1e308, 0.0, -1e308, 0.0, BinaryDistribution.uniform())
 
 
 class TestConditionalMatrixSet:

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contextprob import simulation
 from contextprob import (
     AnglePair,
     BinaryDistribution,
@@ -15,6 +18,7 @@ from contextprob import (
     SimReport,
     TimeDistribution,
     TrialRecord,
+    conditional_probabilities,
     lhv_baseline_chsh,
     run_simulation,
     setting_correlation,
@@ -81,10 +85,11 @@ class TestRunSimulation:
         r2 = run_simulation(config())
         assert r1.to_json() == r2.to_json()
 
-    def test_chunk_count_never_changes_results(self):
+    def test_chunk_count_never_changes_results(self, monkeypatch):
         reference = run_simulation(config(n=10_001)).to_json()
-        for chunks in (2, 3, 7, 16, 10_001):
-            assert run_simulation(config(n=10_001), n_chunks=chunks).to_json() == reference
+        for block in (1, 7, 16, 5_000, 10_000):
+            monkeypatch.setattr(simulation, "_BLOCK", block)
+            assert run_simulation(config(n=10_001)).to_json() == reference
 
     def test_time_mode_never_changes_outcomes(self):
         uniform = run_simulation(config())
@@ -153,10 +158,11 @@ class TestRunSimulation:
             counts[(1 - rec["beta"]) // 2, (1 - rec["gamma"]) // 2] += 1
         np.testing.assert_array_equal(counts, report.counts)
 
-    def test_trial_log_is_chunk_invariant(self):
+    def test_trial_log_is_chunk_invariant(self, monkeypatch):
         b1, b2 = io.StringIO(), io.StringIO()
         run_simulation(config(n=500, seed=6), trial_log=b1)
-        run_simulation(config(n=500, seed=6), n_chunks=9, trial_log=b2)
+        monkeypatch.setattr(simulation, "_BLOCK", 56)
+        run_simulation(config(n=500, seed=6), trial_log=b2)
         assert b1.getvalue() == b2.getvalue()
 
     def test_fixed_order_logs_unit_interval_endpoints(self):
@@ -189,9 +195,10 @@ class TestTimeOrderStatistics:
         assert stats.min_gap == stats.max_gap == 1.0
         assert stats.n_redraws == 0
 
-    def test_chunking_moves_moments_by_rounding_only(self):
+    def test_chunking_moves_moments_by_rounding_only(self, monkeypatch):
         a = time_order_statistics(config(n=30_000, seed=5))
-        b = time_order_statistics(config(n=30_000, seed=5), n_chunks=11)
+        monkeypatch.setattr(simulation, "_BLOCK", 2_728)
+        b = time_order_statistics(config(n=30_000, seed=5))
         # per-gap data is identical; the accumulated moments may differ in
         # the last bit because float addition is not associative
         assert a.min_gap == b.min_gap and a.max_gap == b.max_gap
@@ -222,9 +229,10 @@ class TestSimulateChsh:
         s2 = simulate_chsh(*OPTIMAL, BinaryDistribution.uniform(), 20_000, 7)
         assert s1 == s2
 
-    def test_chunking_does_not_change_the_estimate(self):
+    def test_chunking_does_not_change_the_estimate(self, monkeypatch):
         s1 = simulate_chsh(*OPTIMAL, BinaryDistribution.uniform(), 30_000, 3)
-        s2 = simulate_chsh(*OPTIMAL, BinaryDistribution.uniform(), 30_000, 3, n_chunks=8)
+        monkeypatch.setattr(simulation, "_BLOCK", 3_750)
+        s2 = simulate_chsh(*OPTIMAL, BinaryDistribution.uniform(), 30_000, 3)
         assert s1 == s2
 
     def test_converges_to_the_analytic_extreme(self):
@@ -280,3 +288,141 @@ class TestLhvBaseline:
         quantum = simulate_chsh(*OPTIMAL, BinaryDistribution.uniform(), n, 17)
         local = lhv_baseline_chsh(*OPTIMAL, LhvStrategy.DETERMINISTIC_SIGN, n, 17)
         assert abs(quantum) - abs(local) >= 0.5
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_settings(self, bad):
+        for strategy in LhvStrategy:
+            with pytest.raises(PreconditionViolation):
+                lhv_baseline_chsh(bad, *OPTIMAL[1:], strategy, 10, 1)
+        with pytest.raises(PreconditionViolation):
+            simulate_chsh(*OPTIMAL[:3], bad, BinaryDistribution.uniform(), 10, 1)
+
+
+# ---------------------------------------------------------------- counting kernel
+#
+# The references below are the straightforward float versions of the kernel:
+# whole-run arrays of Generator.random() doubles, compared as floats. The
+# kernel must reproduce them bit for bit.
+
+
+def reference_run(cfg):
+    """(counts, trial-log text) from one Generator.random(4 n) array."""
+    n = cfg.n_pairs
+    key = simulation._philox_key(cfg.seed)
+    u = np.random.Generator(np.random.Philox(key=key)).random(4 * n).reshape(n, 4)
+    cond = conditional_probabilities(cfg.angles.delta)
+    gamma = np.where(u[:, 2] < cfg.marginal_c.p_plus, 1, -1)
+    beta = np.where(u[:, 3] < np.where(gamma == 1, cond[0, 0], cond[0, 1]), 1, -1)
+    counts = np.array([[np.count_nonzero((beta == b) & (gamma == g)) for g in (1, -1)]
+                       for b in (1, -1)])
+    if cfg.time_distribution is TimeDistribution.FIXED_ORDER:
+        t_sel, t_meas = np.zeros(n), np.ones(n)
+    else:
+        assert np.all(u[:, 0] != u[:, 1])  # no redraws at test sizes
+        t_sel, t_meas = np.minimum(u[:, 0], u[:, 1]), np.maximum(u[:, 0], u[:, 1])
+    log = "".join(
+        json.dumps(TrialRecord(float(a), float(b), int(g), int(h)).to_dict()) + "\n"
+        for a, b, g, h in zip(t_sel, t_meas, gamma, beta)
+    )
+    return counts, log
+
+
+def reference_baseline(angles, strategy, n, seed):
+    """The baseline S from one pair of n-long sign arrays per setting pair."""
+    value = 0.0
+    for k, (i, j) in enumerate(((0, 2), (0, 3), (1, 2), (1, 3))):
+        key = simulation._philox_key(simulation._child_seed(seed, 1, k))
+        gen = np.random.Generator(np.random.Philox(key=key))
+        x, y = angles[i], angles[j]
+        if strategy is LhvStrategy.DETERMINISTIC_SIGN:
+            hidden = gen.random(n) * (2.0 * math.pi)
+            side_a = np.where(np.cos(x - hidden) >= 0.0, 1, -1)
+            side_b = np.where(np.cos(y - hidden) >= 0.0, 1, -1)
+        else:
+            side_a = np.where(gen.random(n) < 0.5, 1, -1)
+            side_b = np.where(gen.random(n) < 0.5, 1, -1)
+        value += (1.0, -1.0, 1.0, 1.0)[k] * float(np.mean(side_a * side_b))
+    return value
+
+
+class TestCountingKernel:
+    @pytest.mark.parametrize("block", [None, 1, 7, 64])
+    @pytest.mark.parametrize("q", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("mode", list(TimeDistribution))
+    def test_matches_the_float_reference(self, monkeypatch, block, q, mode):
+        if block is not None:
+            monkeypatch.setattr(simulation, "_BLOCK", block)
+        cfg = config(n=301, seed=2**64 - 1, xi=0.3, eta=1.1, q=q, mode=mode)
+        log = io.StringIO()
+        report = run_simulation(cfg, trial_log=log)
+        counts, expected_log = reference_run(cfg)
+        np.testing.assert_array_equal(report.counts, counts)
+        assert log.getvalue() == expected_log
+
+    def test_integer_threshold_is_generator_random_below_p(self):
+        # p = k * 2**-53 for k drawn in this very stream puts p exactly on a
+        # word, where u < p flips between p and its float neighbours.
+        key = simulation._philox_key(2024)
+        raw = np.random.Philox(key=key).random_raw(4096)
+        u = np.random.Generator(np.random.Philox(key=key)).random(4096)
+        bits = simulation._uniform_bits(raw)
+        ps = [0.0, 1.0, 0.5, 1.0 - 2.0**-53, 2.0**-53, 5e-324]
+        for k in bits[:16].tolist():
+            p = k * 2.0**-53
+            ps += [p, float(np.nextafter(p, 1.0)), float(np.nextafter(p, -1.0))]
+        for p in ps:
+            np.testing.assert_array_equal(bits < simulation._threshold(p), u < p)
+
+    def test_words_differing_only_in_low_bits_tie(self):
+        w = 0x0123456789ABCDEF
+        raw = np.array(
+            [[w, w ^ 0x7FF, 0, 0], [w, w ^ 0x800, 0, 0], [w, w, 0, 0]], dtype=np.uint64
+        )
+        bits = simulation._uniform_bits(raw)
+        # the first and last rows are equal doubles, the middle one is not
+        assert simulation._tied_trials(bits) == [0, 2]
+        key = simulation._philox_key(1)
+        t_sel, t_meas, redraws = simulation._ordered_times(
+            key, 10, bits, TimeDistribution.UNIFORM_SQUARE
+        )
+        assert redraws == simulation._count_redraws(key, 10, bits) >= 2
+        assert np.all(t_sel < t_meas)
+        # an untied row keeps its own words' doubles
+        ends = sorted(((w >> 11) * 2.0**-53, ((w ^ 0x800) >> 11) * 2.0**-53))
+        assert [t_sel[1], t_meas[1]] == ends
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 1_003])
+    @pytest.mark.parametrize("block", [None, 1, 3, 64])
+    def test_baselines_match_the_one_shot_reference(self, monkeypatch, n, block):
+        # random-local's second side starts at word n, which is inside a
+        # Philox block whenever n % 4 != 0
+        if block is not None:
+            monkeypatch.setattr(simulation, "_BLOCK", block)
+        for strategy in LhvStrategy:
+            assert lhv_baseline_chsh(*OPTIMAL, strategy, n, 77) == reference_baseline(
+                OPTIMAL, strategy, n, 77
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 2_000),
+    block=st.integers(1, 2_048),
+    seed=st.integers(0, 2**64 - 1),
+    mode=st.sampled_from(TimeDistribution),
+)
+def test_block_size_never_changes_an_output_byte(n, block, seed, mode):
+    def outputs():
+        log = io.StringIO()
+        report = run_simulation(config(n=n, seed=seed, mode=mode), trial_log=log)
+        return (
+            report.to_json(),
+            log.getvalue(),
+            simulate_chsh(*OPTIMAL, BinaryDistribution.uniform(), n, seed),
+            *(lhv_baseline_chsh(*OPTIMAL, strategy, n, seed) for strategy in LhvStrategy),
+        )
+
+    reference = outputs()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_BLOCK", block)
+        assert outputs() == reference
