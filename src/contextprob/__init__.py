@@ -31,7 +31,6 @@ from .eprbohm import (
     SignConvention,
     chsh,
     conditional_probabilities,
-    correlation,
     epr_bohm_probabilities,
     matrices_from_angles,
     reconstruct_via_interference,
@@ -93,7 +92,6 @@ __all__ = [
     "chsh",
     "classical_total_probability",
     "conditional_probabilities",
-    "correlation",
     "epr_bohm_probabilities",
     "incompatibility_coefficient",
     "interference_probability",

@@ -12,7 +12,9 @@ in-memory values exactly. JSON always has the shape
 ``{"command", "inputs", "results", "seed"}`` with NaN rendered as null.
 
 Exit codes: 0 on success, 1 when a verified property fails, 2 on invalid
-usage or input validation errors.
+usage or input validation errors, including an ``--out`` or ``--trace`` path
+that cannot be opened. Output files are opened before any computation, as a
+shell redirection would open them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import io
 import json
 import math
 import sys
-from pathlib import Path
+from contextlib import ExitStack
+from typing import TextIO
 
 import numpy as np
 
@@ -170,11 +173,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, out: TextIO | None) -> None:
+    (out or sys.stdout).write(text)
 
 
 def _matrix_lines(label: str, entries: np.ndarray, indent: str = "  ") -> list[str]:
@@ -347,11 +347,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=seed,
         time_distribution=TimeDistribution(args.time_dist),
     )
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as stream:
-            report = run_simulation(config, trial_log=stream)
-    else:
-        report = run_simulation(config)
+    report = run_simulation(config, trial_log=args.trace)
     analytic = conditional_probabilities(config.angles.delta)
     analytic_corr = setting_correlation(config.angles.delta, config.marginal_c)
 
@@ -550,17 +546,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_outputs(args: argparse.Namespace, files: ExitStack) -> None:
+    # Replace the --out and --trace paths on ``args`` with open text files.
+    for name in ("out", "trace"):
+        path = getattr(args, name, None)
+        if path:
+            setattr(args, name, files.enter_context(open(path, "w", encoding="utf-8")))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has already written its message
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except ContextualProbabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with ExitStack() as files:
+        try:
+            _open_outputs(args, files)
+        except OSError as exc:
+            print(f"error: cannot open output file: {exc}", file=sys.stderr)
+            return 2
+        try:
+            return args.handler(args)
+        except ContextualProbabilityError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

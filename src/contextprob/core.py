@@ -9,6 +9,13 @@ decides whether the disagreement can be written as ``2 cos(theta)`` times the
 geometric mean of the four path weights.
 
 Outcomes are encoded as the integers ``+1`` and ``-1`` throughout.
+
+Each formula is written once, as an array kernel that evaluates it
+elementwise over broadcast arrays (a stack of priors, transition rows and
+phases): :func:`interference_values`, :func:`coefficient_values`,
+:func:`row_sum_residuals` and :func:`require_column_stochastic`. The scalar
+functions that take the value objects are thin wrappers over them, so a
+batched sweep and a single call evaluate the same arithmetic.
 """
 
 from __future__ import annotations
@@ -119,15 +126,7 @@ class TransitionMatrix:
         arr = np.array(self.entries, dtype=float, copy=True)
         if arr.shape != (2, 2):
             raise InvalidMatrix(f"expected a 2x2 matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidMatrix("entries must be finite")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise InvalidMatrix("entries must lie in [0, 1]")
-        col_sums = arr.sum(axis=0)
-        if np.any(np.abs(col_sums - 1.0) > NORMALIZATION_TOL):
-            raise InvalidMatrix(
-                f"column stochasticity violated: column sums are {col_sums.tolist()!r}"
-            )
+        require_column_stochastic(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -208,13 +207,57 @@ class InterferenceCoefficient:
 def _four_factors(
     prior: BinaryDistribution, transition: TransitionMatrix, beta: int
 ) -> tuple[float, float, float, float]:
-    # The four path weights whose product normalizes the interference term.
+    # The four path weights, in the order the kernels take them.
     return (
         prior.p_plus,
         transition.prob(beta, PLUS),
         prior.p_minus,
         transition.prob(beta, MINUS),
     )
+
+
+def _two_path(p_plus, t_plus, p_minus, t_minus):
+    # Classical decomposition; floats in, float out, arrays in, array out.
+    return p_plus * t_plus + p_minus * t_minus
+
+
+def _root_product(p_plus, t_plus, p_minus, t_minus):
+    # Geometric-mean factor of the interference term.
+    return np.sqrt(p_plus * t_plus * p_minus * t_minus)
+
+
+def _first(values: np.ndarray, where: np.ndarray) -> float:
+    # The first offending element, for an error message naming one value.
+    return float(values[where][0])
+
+
+def require_column_stochastic(entries: np.ndarray) -> None:
+    """Validate a stack of conditional matrices, shape ``(..., 2, 2)``.
+
+    Every entry must be finite and in [0, 1], and every column must sum to 1
+    within ``NORMALIZATION_TOL``; this is the check :class:`TransitionMatrix`
+    runs on construction.
+
+    Raises
+    ------
+    InvalidMatrix
+        Naming the column sums of the first matrix that fails.
+    """
+    if not np.all((entries >= 0.0) & (entries <= 1.0)):
+        if not np.all(np.isfinite(entries)):
+            raise InvalidMatrix("entries must be finite")
+        raise InvalidMatrix("entries must lie in [0, 1]")
+    col_sums = (entries[..., 0, :] + entries[..., 1, :]).reshape(-1, 2)
+    off = np.any(np.abs(col_sums - 1.0) > NORMALIZATION_TOL, axis=1)
+    if np.any(off):
+        raise InvalidMatrix(
+            f"column stochasticity violated: column sums are {col_sums[off][0].tolist()!r}"
+        )
+
+
+def row_sum_residuals(entries: np.ndarray) -> np.ndarray:
+    """Largest ``|row sum - 1|`` of each matrix in a ``(..., 2, 2)`` stack."""
+    return np.max(np.abs(entries[..., 0] + entries[..., 1] - 1.0), axis=-1)
 
 
 def classical_total_probability(
@@ -236,9 +279,32 @@ def classical_total_probability(
     float
         ``prior(+) * transition(beta | +) + prior(-) * transition(beta | -)``.
     """
-    return prior.p_plus * transition.prob(beta, PLUS) + prior.p_minus * transition.prob(
-        beta, MINUS
-    )
+    return _two_path(*_four_factors(prior, transition, beta))
+
+
+def coefficient_values(observed, p_plus, t_plus, p_minus, t_minus) -> np.ndarray:
+    """Array form of :func:`incompatibility_coefficient`'s ``lambda``.
+
+    Arguments broadcast against each other: the observed probabilities and
+    the four path weights ``p(+), p(beta|+), p(-), p(beta|-)``. Where the
+    normalizing denominator vanishes there is no coefficient, and the result
+    is NaN.
+
+    Raises
+    ------
+    OutOfRangeProbability
+        If any observed probability is outside [0, 1].
+    """
+    observed = np.asarray(observed, dtype=float)
+    outside = ~((0.0 <= observed) & (observed <= 1.0))
+    if np.any(outside):
+        raise OutOfRangeProbability(
+            f"observed probability must lie in [0, 1], got {_first(observed, outside)}"
+        )
+    denominator = 2.0 * _root_product(p_plus, t_plus, p_minus, t_minus)
+    excess = observed - _two_path(p_plus, t_plus, p_minus, t_minus)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denominator == 0.0, np.nan, excess / denominator)
 
 
 def incompatibility_coefficient(
@@ -266,27 +332,58 @@ def incompatibility_coefficient(
     InterferenceCoefficient
         Trigonometric regime with ``theta = arccos(lambda)`` when
         ``|lambda| <= 1``, hyperbolic when ``|lambda| > 1``, and the
-        degenerate regime (no coefficient at all) when any of the four path
-        weights is exactly zero.
+        degenerate regime (no coefficient at all) when the denominator
+        vanishes: a path weight is zero, or their product underflows.
 
     Raises
     ------
     OutOfRangeProbability
         If ``observed`` is outside [0, 1].
     """
-    observed = float(observed)
-    if not 0.0 <= observed <= 1.0:
-        raise OutOfRangeProbability(
-            f"observed probability must lie in [0, 1], got {observed}"
-        )
-    factors = _four_factors(prior, transition, beta)
-    if any(f == 0.0 for f in factors):
+    lam = float(coefficient_values(observed, *_four_factors(prior, transition, beta)))
+    if math.isnan(lam):
         return InterferenceCoefficient(None, Regime.DEGENERATE_DENOMINATOR, None)
-    classical = classical_total_probability(prior, transition, beta)
-    lam = (observed - classical) / (2.0 * math.sqrt(math.prod(factors)))
     if abs(lam) <= 1.0:
         return InterferenceCoefficient(lam, Regime.TRIGONOMETRIC, math.acos(lam))
     return InterferenceCoefficient(lam, Regime.HYPERBOLIC, None)
+
+
+def interference_values(p_plus, t_plus, p_minus, t_minus, theta) -> np.ndarray:
+    """Array form of :func:`interference_probability`.
+
+    Arguments broadcast against each other: the four path weights
+    ``p(+), p(beta|+), p(-), p(beta|-)`` and the phases. Results within
+    ``BOUNDARY_GUARD`` outside [0, 1] are snapped onto the boundary.
+
+    Raises
+    ------
+    PreconditionViolation
+        If any phase is outside [0, pi].
+    OutOfRangeProbability
+        If any value leaves [0, 1] by more than ``BOUNDARY_GUARD``.
+    """
+    theta = np.asarray(theta, dtype=float)
+    outside = ~((0.0 <= theta) & (theta <= math.pi))
+    if np.any(outside):
+        raise PreconditionViolation(
+            f"theta must lie in [0, pi], got {_first(theta, outside)}"
+        )
+    classical = _two_path(p_plus, t_plus, p_minus, t_minus)
+    value = classical + 2.0 * np.cos(theta) * _root_product(p_plus, t_plus, p_minus, t_minus)
+    below = value < -BOUNDARY_GUARD
+    if np.any(below):
+        raise OutOfRangeProbability(
+            f"interference value {_first(value, below)!r} falls below 0; "
+            "the prior, transition, and phase are mutually inconsistent"
+        )
+    above = value > 1.0 + BOUNDARY_GUARD
+    if np.any(above):
+        raise OutOfRangeProbability(
+            f"interference value {_first(value, above)!r} exceeds 1; "
+            "the prior, transition, and phase are mutually inconsistent"
+        )
+    # np.where, not np.clip: a -0.0 inside the interval keeps its sign.
+    return np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value))
 
 
 def interference_probability(
@@ -320,27 +417,7 @@ def interference_probability(
         boundary, which absorbs last-bit rounding of legitimately extremal
         configurations.
     """
-    theta = float(theta)
-    if not 0.0 <= theta <= math.pi:
-        raise PreconditionViolation(f"theta must lie in [0, pi], got {theta}")
-    classical = classical_total_probability(prior, transition, beta)
-    term = 2.0 * math.cos(theta) * math.sqrt(math.prod(_four_factors(prior, transition, beta)))
-    value = classical + term
-    if value < 0.0:
-        if value >= -BOUNDARY_GUARD:
-            return 0.0
-        raise OutOfRangeProbability(
-            f"interference value {value!r} falls below 0; "
-            "the prior, transition, and phase are mutually inconsistent"
-        )
-    if value > 1.0:
-        if value <= 1.0 + BOUNDARY_GUARD:
-            return 1.0
-        raise OutOfRangeProbability(
-            f"interference value {value!r} exceeds 1; "
-            "the prior, transition, and phase are mutually inconsistent"
-        )
-    return value
+    return float(interference_values(*_four_factors(prior, transition, beta), float(theta)))
 
 
 def is_double_stochastic(
@@ -351,4 +428,4 @@ def is_double_stochastic(
     Columns already sum to 1 by construction, so this is the extra symmetry
     that makes the matrix doubly stochastic.
     """
-    return bool(np.all(np.abs(transition.row_sums() - 1.0) <= float(tol)))
+    return bool(row_sum_residuals(transition.entries) <= float(tol))

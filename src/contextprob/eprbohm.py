@@ -14,6 +14,16 @@ signs, and the opposite selection context flips both cosines. The functions
 here compute both routes, check the two structural facts the derivation rests
 on, and evaluate correlation functions of the closed form, including the
 four-setting combination used in Bell-type comparisons.
+
+Every formula is an array kernel over stacks of angles (or angle
+differences) that broadcast elementwise: :func:`conditional_probabilities`,
+:func:`angle_matrices`, :func:`phase_entries`,
+:func:`phase_opposition_residuals`, :func:`correlation_values` and
+:func:`chsh_values`. The functions taking an :class:`AnglePair` or a
+:class:`BinaryDistribution` are thin wrappers over them returning plain
+floats and bools. Squares go through ``np.float_power(x, 2.0)``, which rounds
+like Python's ``x ** 2`` (libm ``pow``); ``x * x`` differs from it in the last
+bit for about one sine or cosine in a thousand.
 """
 
 from __future__ import annotations
@@ -24,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    MINUS,
-    PLUS,
     BinaryDistribution,
     TransitionMatrix,
-    interference_probability,
+    interference_values,
+    require_column_stochastic,
+    row_sum_residuals,
 )
 from .errors import PreconditionViolation
 
@@ -90,20 +100,8 @@ class SignConvention:
         if self.cos_theta_plus == self.cos_theta_minus:
             raise PreconditionViolation("the two phase cosines must have opposite signs")
 
-    @classmethod
-    def default(cls) -> "SignConvention":
-        return cls(-1.0, 1.0)
-
     def flipped(self) -> "SignConvention":
         return SignConvention(-self.cos_theta_plus, -self.cos_theta_minus)
-
-    @property
-    def theta_plus(self) -> float:
-        return math.acos(self.cos_theta_plus)
-
-    @property
-    def theta_minus(self) -> float:
-        return math.acos(self.cos_theta_minus)
 
     def to_dict(self) -> dict:
         return {
@@ -115,6 +113,31 @@ class SignConvention:
 DEFAULT_SIGNS = SignConvention(-1.0, 1.0)
 
 
+def _square(x):
+    return np.float_power(x, 2.0)
+
+
+def _symmetric(diagonal, off_diagonal) -> np.ndarray:
+    # Stack of [[d, o], [o, d]], shape (..., 2, 2).
+    out = np.empty(np.shape(diagonal) + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = diagonal
+    out[..., 0, 1] = out[..., 1, 0] = off_diagonal
+    return out
+
+
+def angle_matrices(xi, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of ``(p_ac, p_ba)`` for stacks of angles, each ``(..., 2, 2)``.
+
+    The array form of :func:`matrices_from_angles`. Both stacks pass the
+    column-stochastic check of :class:`TransitionMatrix`.
+    """
+    p_ac = _symmetric(_square(np.cos(xi)), _square(np.sin(xi)))
+    p_ba = _symmetric(_square(np.sin(eta)), _square(np.cos(eta)))
+    require_column_stochastic(p_ac)
+    require_column_stochastic(p_ba)
+    return p_ac, p_ba
+
+
 def matrices_from_angles(angles: AnglePair) -> tuple[TransitionMatrix, TransitionMatrix]:
     """The two directly parametrized conditional matrices.
 
@@ -123,29 +146,27 @@ def matrices_from_angles(angles: AnglePair) -> tuple[TransitionMatrix, Transitio
     outcome, with ``p_ba(+|+) = sin^2(eta)``. Both are doubly stochastic and,
     for angles inside the open interval, strictly positive.
     """
-    c2x = math.cos(angles.xi) ** 2
-    s2x = math.sin(angles.xi) ** 2
-    c2e = math.cos(angles.eta) ** 2
-    s2e = math.sin(angles.eta) ** 2
-    p_ac = TransitionMatrix(np.array([[c2x, s2x], [s2x, c2x]]))
-    p_ba = TransitionMatrix(np.array([[s2e, c2e], [c2e, s2e]]))
-    return p_ac, p_ba
+    p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
+    return TransitionMatrix(p_ac), TransitionMatrix(p_ba)
 
 
-def conditional_probabilities(delta: float) -> np.ndarray:
+def conditional_probabilities(delta) -> np.ndarray:
     """Closed-form conditional matrix for an arbitrary real angle difference.
 
     Row index is the ``b`` result, column index the selection outcome, in the
     usual (+1, -1) order. For ``delta = xi - eta`` this reproduces
     :func:`epr_bohm_probabilities`; any real ``delta`` is accepted, which is
     what the multi-setting correlation scans need; a non-finite one raises
-    :class:`PreconditionViolation`.
+    :class:`PreconditionViolation`. An array of differences gives a stack of
+    matrices, shape ``delta.shape + (2, 2)``.
     """
-    if not math.isfinite(delta):
-        raise PreconditionViolation(f"angle difference must be finite, got {delta}")
-    s2 = math.sin(delta) ** 2
-    c2 = math.cos(delta) ** 2
-    return np.array([[s2, c2], [c2, s2]])
+    delta = np.asarray(delta, dtype=float)
+    non_finite = ~np.isfinite(delta)
+    if np.any(non_finite):
+        raise PreconditionViolation(
+            f"angle difference must be finite, got {float(delta[non_finite][0])}"
+        )
+    return _symmetric(_square(np.sin(delta)), _square(np.cos(delta)))
 
 
 def epr_bohm_probabilities(angles: AnglePair) -> TransitionMatrix:
@@ -153,21 +174,45 @@ def epr_bohm_probabilities(angles: AnglePair) -> TransitionMatrix:
     return TransitionMatrix(conditional_probabilities(angles.delta))
 
 
+def _column(p_ac: np.ndarray, p_ba: np.ndarray, j: int, cos_plus: float, cos_minus: float):
+    # Interference entries (b = +, b = -) of selection column j, with the
+    # prior taken from that column of p_ac.
+    prior_plus, prior_minus = p_ac[..., 0, j], p_ac[..., 1, j]
+    plus = interference_values(
+        prior_plus, p_ba[..., 0, 0], prior_minus, p_ba[..., 0, 1], math.acos(cos_plus)
+    )
+    minus = interference_values(
+        prior_plus, p_ba[..., 1, 0], prior_minus, p_ba[..., 1, 1], math.acos(cos_minus)
+    )
+    return plus, minus
+
+
+def phase_entries(
+    p_ac: np.ndarray, p_ba: np.ndarray, signs: SignConvention, *, flip_second_column: bool
+) -> np.ndarray:
+    """All four interference entries for stacks of ``(p_ac, p_ba)``, ``(..., 2, 2)``.
+
+    The ``+`` selection column uses the phase cosines of ``signs``; the ``-``
+    column negates them (the consistent choice) when ``flip_second_column``
+    is true and reuses them otherwise.
+    """
+    flip = -1.0 if flip_second_column else 1.0
+    entries = np.empty(p_ac.shape)
+    entries[..., 0, 0], entries[..., 1, 0] = _column(
+        p_ac, p_ba, 0, signs.cos_theta_plus, signs.cos_theta_minus
+    )
+    entries[..., 0, 1], entries[..., 1, 1] = _column(
+        p_ac, p_ba, 1, flip * signs.cos_theta_plus, flip * signs.cos_theta_minus
+    )
+    return entries
+
+
 def _phase_entries(
     angles: AnglePair, signs: SignConvention, flip_second_column: bool
 ) -> np.ndarray:
-    # All four interference entries; the second selection column either
-    # negates the phase cosines (the consistent choice) or reuses them.
-    p_ac, p_ba = matrices_from_angles(angles)
-    entries = np.empty((2, 2))
-    for j, gamma in enumerate((PLUS, MINUS)):
-        prior = p_ac.column(gamma)
-        flip = -1.0 if (gamma == MINUS and flip_second_column) else 1.0
-        theta_plus = math.acos(flip * signs.cos_theta_plus)
-        theta_minus = math.acos(flip * signs.cos_theta_minus)
-        entries[0, j] = interference_probability(prior, p_ba, PLUS, theta_plus)
-        entries[1, j] = interference_probability(prior, p_ba, MINUS, theta_minus)
-    return entries
+    # One angle pair's interference entries, for the scalar wrappers.
+    p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
+    return phase_entries(p_ac, p_ba, signs, flip_second_column=flip_second_column)
 
 
 def reconstruct_via_interference(
@@ -192,6 +237,24 @@ def reconstruct_via_interference(
     return TransitionMatrix(_phase_entries(angles, signs, flip_second_column=True))
 
 
+def phase_opposition_residuals(
+    p_ac: np.ndarray, p_ba: np.ndarray, cos_theta_plus: float, cos_theta_minus: float
+) -> np.ndarray:
+    """``|column sum - 1|`` of the ``+`` selection column, per ``(p_ac, p_ba)``.
+
+    The array form behind :func:`verify_phase_opposition`, with the same
+    precondition on the two phase cosines.
+    """
+    cosines = (float(cos_theta_plus), float(cos_theta_minus))
+    for value in cosines:
+        if value not in (1.0, -1.0):
+            raise PreconditionViolation(
+                f"phase cosines must be +1.0 or -1.0, got {value}"
+            )
+    plus, minus = _column(p_ac, p_ba, 0, *cosines)
+    return np.abs(plus + minus - 1.0)
+
+
 def verify_phase_opposition(
     angles: AnglePair,
     cos_theta_plus: float,
@@ -213,17 +276,8 @@ def verify_phase_opposition(
         :class:`SignConvention`, equal signs are allowed here; rejecting them
         is this function's job.)
     """
-    for value in (float(cos_theta_plus), float(cos_theta_minus)):
-        if value not in (1.0, -1.0):
-            raise PreconditionViolation(
-                f"phase cosines must be +1.0 or -1.0, got {value}"
-            )
-    p_ac, p_ba = matrices_from_angles(angles)
-    prior = p_ac.column(PLUS)
-    total = interference_probability(
-        prior, p_ba, PLUS, math.acos(float(cos_theta_plus))
-    ) + interference_probability(prior, p_ba, MINUS, math.acos(float(cos_theta_minus)))
-    return abs(total - 1.0) <= tol
+    p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
+    return bool(phase_opposition_residuals(p_ac, p_ba, cos_theta_plus, cos_theta_minus) <= tol)
 
 
 def verify_selection_phase_flip(
@@ -244,8 +298,23 @@ def verify_selection_phase_flip(
     flag useful as a negative control.
     """
     entries = _phase_entries(angles, signs, flip_second_column=not violate_flip)
-    row_sums = entries.sum(axis=1)
-    return bool(np.all(np.abs(row_sums - 1.0) <= tol))
+    return bool(row_sum_residuals(entries) <= tol)
+
+
+def correlation_values(delta, q_plus, q_minus) -> np.ndarray:
+    """Array form of :func:`setting_correlation`.
+
+    Arguments broadcast against each other: angle differences and the two
+    weights of the selection marginal.
+    """
+    cond = conditional_probabilities(delta)
+    # sum of beta * gamma * p(beta|gamma) * q(gamma), in (beta, gamma) order
+    return (
+        cond[..., 0, 0] * q_plus
+        - cond[..., 0, 1] * q_minus
+        - cond[..., 1, 0] * q_plus
+        + cond[..., 1, 1] * q_minus
+    )
 
 
 def setting_correlation(delta: float, marginal_c: BinaryDistribution) -> float:
@@ -257,17 +326,17 @@ def setting_correlation(delta: float, marginal_c: BinaryDistribution) -> float:
     ``marginal_c``; the argument is kept so callers can feed whichever
     selection marginal their setup uses and see that indifference directly.
     """
-    cond = conditional_probabilities(delta)
-    total = 0.0
-    for i, beta in enumerate((PLUS, MINUS)):
-        for j, gamma in enumerate((PLUS, MINUS)):
-            total += beta * gamma * cond[i, j] * marginal_c.prob(gamma)
-    return total
+    return float(correlation_values(delta, marginal_c.p_plus, marginal_c.p_minus))
 
 
-def correlation(angles: AnglePair, marginal_c: BinaryDistribution) -> float:
-    """Sign-product expectation of the closed-form conditionals at ``angles``."""
-    return setting_correlation(angles.delta, marginal_c)
+def chsh_values(a, a_prime, b, b_prime, q_plus, q_minus) -> np.ndarray:
+    """Array form of :func:`chsh`; all arguments broadcast elementwise."""
+    return (
+        correlation_values(a - b, q_plus, q_minus)
+        - correlation_values(a - b_prime, q_plus, q_minus)
+        + correlation_values(a_prime - b, q_plus, q_minus)
+        + correlation_values(a_prime - b_prime, q_plus, q_minus)
+    )
 
 
 def chsh(
@@ -284,11 +353,8 @@ def chsh(
     ``-2 sqrt(2)``, the extreme of this family. A non-finite setting, or
     settings whose difference overflows, raise :class:`PreconditionViolation`.
     """
-    return (
-        setting_correlation(a - b, marginal_c)
-        - setting_correlation(a - b_prime, marginal_c)
-        + setting_correlation(a_prime - b, marginal_c)
-        + setting_correlation(a_prime - b_prime, marginal_c)
+    return float(
+        chsh_values(a, a_prime, b, b_prime, marginal_c.p_plus, marginal_c.p_minus)
     )
 
 
@@ -323,11 +389,3 @@ class ConditionalMatrixSet:
             "p_ba": self.p_ba.to_dict(),
             "p_bc": self.p_bc.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConditionalMatrixSet":
-        return cls(
-            p_ac=TransitionMatrix.from_dict(data["p_ac"]),
-            p_ba=TransitionMatrix.from_dict(data["p_ba"]),
-            p_bc=TransitionMatrix.from_dict(data["p_bc"]),
-        )

@@ -5,6 +5,16 @@ settings and marginals) and records the worst residual it saw. The suite is
 what the ``verify`` command runs; the ``break_phase_flip`` switch turns the
 phase-flip check into its negative control so the failure path of the
 reporting machinery can be exercised on demand.
+
+The sweep is blocked: each check draws its inputs ``_BLOCK`` samples at a
+time, one ``rng.uniform`` call per block, and evaluates the whole block with
+the array kernels of :mod:`contextprob.core` and :mod:`contextprob.eprbohm`,
+the same kernels the scalar functions wrap, so there is one formula per
+quantity. Taking the blocks in order consumes the generator exactly as one
+draw per sample would, so the report does not depend on the block size, and
+memory stays bounded by one block however many samples are asked for. Every
+matrix the scalar API would have built passes the same column-stochastic
+check, and the interference guard applies unchanged.
 """
 
 from __future__ import annotations
@@ -13,32 +23,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    MINUS,
-    PLUS,
-    BinaryDistribution,
-    incompatibility_coefficient,
-    is_double_stochastic,
-)
+from .core import coefficient_values, require_column_stochastic, row_sum_residuals
 from .eprbohm import (
     DEFAULT_SIGNS,
-    AnglePair,
-    ConditionalMatrixSet,
-    chsh,
-    epr_bohm_probabilities,
-    matrices_from_angles,
-    reconstruct_via_interference,
-    setting_correlation,
-    verify_phase_opposition,
-    verify_selection_phase_flip,
+    angle_matrices,
+    chsh_values,
+    conditional_probabilities,
+    correlation_values,
+    phase_entries,
+    phase_opposition_residuals,
 )
 from .errors import InvalidCount
 
 # Angles are sampled away from the interval ends so every interference
 # denominator stays well above rounding scale and residual bounds are clean.
+# Drawn angles therefore lie inside (0, pi/2) and drawn marginals inside
+# [0, 1) by construction; the checks below validate what is computed.
 _ANGLE_MARGIN = 0.05
 
 _TSIRELSON = 2.0 * np.sqrt(2.0)
+
+# Samples per block. Peak memory of the sweep is a few dozen arrays of this
+# many 2x2 matrices.
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,12 @@ class PropertyCheck:
     worst_residual: float
     passed: bool
 
+    def __post_init__(self) -> None:
+        # Plain Python scalars, so every output format prints them as such.
+        object.__setattr__(self, "n_samples", int(self.n_samples))
+        object.__setattr__(self, "worst_residual", float(self.worst_residual))
+        object.__setattr__(self, "passed", bool(self.passed))
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -64,11 +77,34 @@ class PropertyCheck:
         }
 
 
-def _sample_angles(rng: np.random.Generator) -> AnglePair:
+def _sweep(rng: np.random.Generator, n_samples: int, block_check, *args) -> tuple[float, bool]:
+    # ``block_check(rng, size, *args)`` draws ``size`` samples and returns the
+    # block's worst residual and whether every sample in it passed.
+    worst, passed = 0.0, True
+    for start in range(0, n_samples, _BLOCK):
+        block_worst, block_passed = block_check(rng, min(_BLOCK, n_samples - start), *args)
+        worst = max(worst, block_worst)
+        passed = passed and block_passed
+    return worst, passed
+
+
+def _sample_angles(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
     lo = _ANGLE_MARGIN
     hi = np.pi / 2.0 - _ANGLE_MARGIN
-    xi, eta = rng.uniform(lo, hi, size=2)
-    return AnglePair(float(xi), float(eta))
+    draws = rng.uniform(lo, hi, size=(size, 2))
+    return draws[:, 0], draws[:, 1]
+
+
+def _closed_form(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    closed = conditional_probabilities(xi - eta)
+    require_column_stochastic(closed)
+    return closed
+
+
+def _reconstruction(p_ac: np.ndarray, p_ba: np.ndarray) -> np.ndarray:
+    recon = phase_entries(p_ac, p_ba, DEFAULT_SIGNS, flip_second_column=True)
+    require_column_stochastic(recon)
+    return recon
 
 
 def run_property_suite(
@@ -96,122 +132,116 @@ def run_property_suite(
         raise InvalidCount(f"n_samples must be a positive integer, got {n_samples!r}")
     n_samples = int(n_samples)
     rng = np.random.default_rng(seed)
-    checks = [
-        _check_reconstruction_agreement(rng, n_samples, tol),
-        _check_double_stochasticity(rng, n_samples, tol),
-        _check_phase_opposition(rng, n_samples, tol),
-        _check_selection_phase_flip(rng, n_samples, tol, break_phase_flip),
-        _check_coefficient_roundtrip(rng, n_samples, tol),
-        _check_correlation_closed_form(rng, n_samples, tol),
-        _check_chsh_bound(rng, n_samples, tol),
+
+    def check(name: str, block_check, *args) -> PropertyCheck:
+        return PropertyCheck(name, n_samples, *_sweep(rng, n_samples, block_check, *args))
+
+    flip_name = (
+        "selection-phase-flip (flip suppressed)" if break_phase_flip else "selection-phase-flip"
+    )
+    # The checks share the generator, so their order fixes what each draws.
+    return [
+        check("reconstruction-agreement", _reconstruction_agreement, tol),
+        check("double-stochasticity", _double_stochasticity, tol),
+        check("phase-opposition", _phase_opposition, tol),
+        check(flip_name, _selection_phase_flip, tol, break_phase_flip),
+        check("coefficient-roundtrip", _coefficient_roundtrip, tol),
+        check("correlation-closed-form", _correlation_closed_form, tol),
+        check("chsh-bound", _chsh_bound, tol),
     ]
-    return checks
 
 
-def _check_reconstruction_agreement(
-    rng: np.random.Generator, n_samples: int, tol: float
-) -> PropertyCheck:
+def _reconstruction_agreement(
+    rng: np.random.Generator, size: int, tol: float
+) -> tuple[float, bool]:
     # Interference route equals the closed form entrywise.
-    worst = 0.0
-    for _ in range(n_samples):
-        angles = _sample_angles(rng)
-        closed = epr_bohm_probabilities(angles)
-        recon = reconstruct_via_interference(angles)
-        worst = max(worst, float(np.max(np.abs(closed.entries - recon.entries))))
-    return PropertyCheck("reconstruction-agreement", n_samples, worst, worst <= tol)
+    xi, eta = _sample_angles(rng, size)
+    recon = _reconstruction(*angle_matrices(xi, eta))
+    worst = float(np.max(np.abs(_closed_form(xi, eta) - recon)))
+    return worst, worst <= tol
 
 
-def _check_double_stochasticity(
-    rng: np.random.Generator, n_samples: int, tol: float
-) -> PropertyCheck:
+def _double_stochasticity(
+    rng: np.random.Generator, size: int, tol: float
+) -> tuple[float, bool]:
     # All three conditional matrices, plus the reconstruction, have unit rows.
-    worst = 0.0
-    passed = True
-    for _ in range(n_samples):
-        angles = _sample_angles(rng)
-        bundle = ConditionalMatrixSet.from_angles(angles)
-        recon = reconstruct_via_interference(angles)
-        for matrix in (bundle.p_ac, bundle.p_ba, bundle.p_bc, recon):
-            worst = max(worst, float(np.max(np.abs(matrix.row_sums() - 1.0))))
-            passed = passed and is_double_stochastic(matrix, tol)
-        passed = passed and bundle.strictly_positive
-    return PropertyCheck("double-stochasticity", n_samples, worst, passed)
+    xi, eta = _sample_angles(rng, size)
+    p_ac, p_ba = angle_matrices(xi, eta)
+    p_bc = _closed_form(xi, eta)
+    stacks = (p_ac, p_ba, p_bc, _reconstruction(p_ac, p_ba))
+    worst = max(float(np.max(row_sum_residuals(m))) for m in stacks)
+    strictly_positive = all(bool(np.all(m > 0.0)) for m in (p_ac, p_ba, p_bc))
+    return worst, worst <= tol and strictly_positive
 
 
-def _check_phase_opposition(
-    rng: np.random.Generator, n_samples: int, tol: float
-) -> PropertyCheck:
+def _phase_opposition(
+    rng: np.random.Generator, size: int, tol: float
+) -> tuple[float, bool]:
     # Opposite maximal phases keep the column normalized; equal ones cannot.
-    worst = 0.0
-    passed = True
-    for _ in range(n_samples):
-        angles = _sample_angles(rng)
-        for pair in ((-1.0, 1.0), (1.0, -1.0)):
-            passed = passed and verify_phase_opposition(angles, *pair, tol=tol)
-        for pair in ((1.0, 1.0), (-1.0, -1.0)):
-            passed = passed and not verify_phase_opposition(angles, *pair, tol=tol)
-    return PropertyCheck("phase-opposition", n_samples, worst, passed)
+    # The check only classifies, so its residual reads 0.
+    p_ac, p_ba = angle_matrices(*_sample_angles(rng, size))
+    passed = all(
+        bool(np.all(phase_opposition_residuals(p_ac, p_ba, *pair) <= tol))
+        for pair in ((-1.0, 1.0), (1.0, -1.0))
+    ) and not any(
+        bool(np.any(phase_opposition_residuals(p_ac, p_ba, *pair) <= tol))
+        for pair in ((1.0, 1.0), (-1.0, -1.0))
+    )
+    return 0.0, passed
 
 
-def _check_selection_phase_flip(
-    rng: np.random.Generator, n_samples: int, tol: float, violate: bool
-) -> PropertyCheck:
+def _selection_phase_flip(
+    rng: np.random.Generator, size: int, tol: float, violate: bool
+) -> tuple[float, bool]:
     # Rows of the reconstruction stay normalized exactly because the second
-    # selection context negates both phase cosines.
-    passed = True
-    for _ in range(n_samples):
-        angles = _sample_angles(rng)
-        passed = passed and verify_selection_phase_flip(
-            angles, DEFAULT_SIGNS, violate_flip=violate, tol=tol
-        )
-    name = "selection-phase-flip (flip suppressed)" if violate else "selection-phase-flip"
-    return PropertyCheck(name, n_samples, 0.0 if passed else 1.0, passed)
+    # selection context negates both phase cosines. The residual reported is
+    # a 0/1 failure indicator.
+    p_ac, p_ba = angle_matrices(*_sample_angles(rng, size))
+    entries = phase_entries(p_ac, p_ba, DEFAULT_SIGNS, flip_second_column=not violate)
+    passed = bool(np.all(row_sum_residuals(entries) <= tol))
+    return (0.0 if passed else 1.0), passed
 
 
-def _check_coefficient_roundtrip(
-    rng: np.random.Generator, n_samples: int, tol: float
-) -> PropertyCheck:
+def _coefficient_roundtrip(
+    rng: np.random.Generator, size: int, tol: float
+) -> tuple[float, bool]:
     # Feeding the closed-form entries back through the coefficient recovers
     # the maximal phase cosines, flipped in the second selection column.
+    xi, eta = _sample_angles(rng, size)
+    p_ac, p_ba = angle_matrices(xi, eta)
+    closed = _closed_form(xi, eta)
     worst = 0.0
-    for _ in range(n_samples):
-        angles = _sample_angles(rng)
-        p_ac, p_ba = matrices_from_angles(angles)
-        closed = epr_bohm_probabilities(angles)
-        for gamma, flip in ((PLUS, 1.0), (MINUS, -1.0)):
-            prior = p_ac.column(gamma)
-            for beta, cos_theta in (
-                (PLUS, DEFAULT_SIGNS.cos_theta_plus),
-                (MINUS, DEFAULT_SIGNS.cos_theta_minus),
-            ):
-                coeff = incompatibility_coefficient(
-                    closed.prob(beta, gamma), prior, p_ba, beta
-                )
-                worst = max(worst, abs(coeff.lam - flip * cos_theta))
-    return PropertyCheck("coefficient-roundtrip", n_samples, worst, worst <= tol)
+    for gamma, flip in ((0, 1.0), (1, -1.0)):
+        for beta, cos_theta in (
+            (0, DEFAULT_SIGNS.cos_theta_plus),
+            (1, DEFAULT_SIGNS.cos_theta_minus),
+        ):
+            lam = coefficient_values(
+                closed[:, beta, gamma],
+                p_ac[:, 0, gamma], p_ba[:, beta, 0],
+                p_ac[:, 1, gamma], p_ba[:, beta, 1],
+            )
+            worst = max(worst, float(np.max(np.abs(lam - flip * cos_theta))))
+    return worst, worst <= tol
 
 
-def _check_correlation_closed_form(
-    rng: np.random.Generator, n_samples: int, tol: float
-) -> PropertyCheck:
-    # E(delta) = -cos(2 delta), independent of the selection marginal.
-    worst = 0.0
-    for _ in range(n_samples):
-        delta = float(rng.uniform(-2.0 * np.pi, 2.0 * np.pi))
-        marginal = BinaryDistribution.from_p_plus(float(rng.uniform(0.0, 1.0)))
-        value = setting_correlation(delta, marginal)
-        worst = max(worst, abs(value + np.cos(2.0 * delta)))
-    return PropertyCheck("correlation-closed-form", n_samples, worst, worst <= tol)
+def _correlation_closed_form(
+    rng: np.random.Generator, size: int, tol: float
+) -> tuple[float, bool]:
+    # E(delta) = -cos(2 delta), independent of the selection marginal. Each
+    # sample draws its difference, then its marginal weight p(+).
+    draws = rng.uniform([-2.0 * np.pi, 0.0], [2.0 * np.pi, 1.0], size=(size, 2))
+    delta, p_plus = draws[:, 0], draws[:, 1]
+    value = correlation_values(delta, p_plus, 1.0 - p_plus)
+    worst = float(np.max(np.abs(value + np.cos(2.0 * delta))))
+    return worst, worst <= tol
 
 
-def _check_chsh_bound(
-    rng: np.random.Generator, n_samples: int, tol: float
-) -> PropertyCheck:
+def _chsh_bound(
+    rng: np.random.Generator, size: int, tol: float
+) -> tuple[float, bool]:
     # |S| never exceeds 2 sqrt(2) over arbitrary setting quadruples.
-    worst = 0.0
-    marginal = BinaryDistribution.uniform()
-    for _ in range(n_samples):
-        a, a_prime, b, b_prime = rng.uniform(0.0, 2.0 * np.pi, size=4)
-        s = chsh(float(a), float(a_prime), float(b), float(b_prime), marginal)
-        worst = max(worst, max(abs(s) - _TSIRELSON, 0.0))
-    return PropertyCheck("chsh-bound", n_samples, worst, worst <= tol)
+    a, a_prime, b, b_prime = rng.uniform(0.0, 2.0 * np.pi, size=(size, 4)).T
+    s = chsh_values(a, a_prime, b, b_prime, 0.5, 0.5)  # uniform selection marginal
+    worst = float(np.max(np.maximum(np.abs(s) - _TSIRELSON, 0.0)))
+    return worst, worst <= tol

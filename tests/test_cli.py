@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from contextprob import simulation
+from contextprob import cli, simulation
 from contextprob.cli import main
 
 OPTIMAL_ARGS = ["--settings", "0,0.7853981633974483,0.39269908169872414,1.1780972450961724"]
@@ -159,6 +159,15 @@ class TestEprCommand:
         assert len(closed) == 4
         assert any(r["record"] == "correlation" for r in rows)
 
+    def test_csv_values_parse_as_the_json_floats(self, capsys):
+        argv = ["epr", "--xi", "0.9", "--eta", "0.4", "--marginal", "0.3"]
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        _, js, _ = run(capsys, *argv, "--format", "json")
+        values = {r["record"]: float(r["value"]) for r in csv.DictReader(io.StringIO(out))}
+        results = json.loads(js)["results"]
+        assert values["correlation"] == results["correlation"]
+        assert values["max_abs_difference"] == results["max_abs_difference"]
+
 
 class TestVerifyCommand:
     def test_default_run_passes(self, capsys):
@@ -195,6 +204,33 @@ class TestVerifyCommand:
         _, out1, _ = run(capsys, "verify", "--samples", "80", "--seed", "3", "--format", "json")
         _, out2, _ = run(capsys, "verify", "--samples", "80", "--seed", "3", "--format", "json")
         assert out1 == out2
+
+    @pytest.mark.parametrize("extra", [[], ["--break-phase-flip"]])
+    def test_csv_residuals_parse_as_the_json_floats(self, capsys, extra):
+        argv = ["verify", "--samples", "50", "--seed", "1", *extra]
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        _, js, _ = run(capsys, *argv, "--format", "json")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        checks = json.loads(js)["results"]["checks"]
+        assert [r["property"] for r in rows] == [c["name"] for c in checks]
+        for row, check in zip(rows, checks):
+            assert int(row["samples"]) == check["n_samples"]
+            assert float(row["worst_residual"]) == check["worst_residual"]
+            assert row["status"] == ("PASS" if check["passed"] else "FAIL")
+
+    def test_out_into_missing_directory_exits_two_before_computing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("computed before opening the output")
+
+        monkeypatch.setattr(cli, "run_property_suite", not_reached)
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "verify", "--samples", "10", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
 
 
 class TestSimulateCommand:
@@ -283,6 +319,21 @@ class TestSimulateCommand:
         code, _, _ = run(capsys, *self.BASE, "--n", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_output_into_missing_directory_exits_two_before_computing(
+        self, capsys, tmp_path, monkeypatch, flag
+    ):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("computed before opening the output")
+
+        monkeypatch.setattr(cli, "run_simulation", not_reached)
+        target = tmp_path / "missing" / "file"
+        code, out, err = run(capsys, *self.BASE, "--n", "10", "--seed", "1", flag, str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
     def test_degenerate_marginal_serializes_null_cells(self, capsys):
         code, out, _ = run(
             capsys, *self.BASE, "--n", "50", "--seed", "3", "--marginal", "1.0",
@@ -353,6 +404,16 @@ class TestChshCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: setting a must be finite")
+
+    def test_csv_values_parse_as_the_json_floats(self, capsys):
+        argv = ["chsh", "--optimal", "--n", "300", "--seed", "4", "--baseline", "deterministic-sign"]
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        _, js, _ = run(capsys, *argv, "--format", "json")
+        values = {r["quantity"]: float(r["value"]) for r in csv.DictReader(io.StringIO(out))}
+        results = json.loads(js)["results"]
+        assert values["s_analytic"] == results["s_analytic"]
+        assert values["s_estimate"] == results["s_estimate"]
+        assert values["baseline_deterministic-sign"] == results["baseline"]["s_estimate"]
 
 
 class TestParserBasics:

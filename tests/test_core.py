@@ -180,6 +180,14 @@ class TestIncompatibilityCoefficient:
         )
         assert coeff.regime is Regime.DEGENERATE_DENOMINATOR
 
+    def test_underflowing_weight_product_is_degenerate(self):
+        # every weight is nonzero, but their product underflows to 0
+        prior = BinaryDistribution(1e-200, 1.0)
+        m = TransitionMatrix(np.array([[1e-200, 0.5], [1.0, 0.5]]))
+        coeff = incompatibility_coefficient(0.5, prior, m, PLUS)
+        assert coeff.regime is Regime.DEGENERATE_DENOMINATOR
+        assert coeff.lam is None and coeff.theta is None
+
     def test_rejects_observed_outside_unit_interval(self):
         with pytest.raises(OutOfRangeProbability):
             incompatibility_coefficient(

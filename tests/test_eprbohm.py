@@ -14,7 +14,6 @@ from contextprob import (
     SignConvention,
     chsh,
     conditional_probabilities,
-    correlation,
     epr_bohm_probabilities,
     is_double_stochastic,
     matrices_from_angles,
@@ -49,11 +48,6 @@ class TestSignConvention:
     def test_default_is_minus_plus(self):
         assert DEFAULT_SIGNS.cos_theta_plus == -1.0
         assert DEFAULT_SIGNS.cos_theta_minus == 1.0
-        assert SignConvention.default() == DEFAULT_SIGNS
-
-    def test_phases_are_exact_endpoints(self):
-        assert DEFAULT_SIGNS.theta_plus == math.pi
-        assert DEFAULT_SIGNS.theta_minus == 0.0
 
     def test_flipped(self):
         assert DEFAULT_SIGNS.flipped() == SignConvention(1.0, -1.0)
@@ -214,13 +208,13 @@ class TestSelectionPhaseFlip:
 
 class TestCorrelation:
     def test_equal_angles_give_perfect_anticorrelation(self):
-        assert correlation(
-            AnglePair(0.8, 0.8), BinaryDistribution.uniform()
+        assert setting_correlation(
+            AnglePair(0.8, 0.8).delta, BinaryDistribution.uniform()
         ) == pytest.approx(-1.0, abs=1e-15)
 
     def test_quarter_pi_difference_vanishes(self):
-        assert correlation(
-            AnglePair(math.pi / 3.0, math.pi / 12.0), BinaryDistribution.uniform()
+        assert setting_correlation(
+            AnglePair(math.pi / 3.0, math.pi / 12.0).delta, BinaryDistribution.uniform()
         ) == pytest.approx(0.0, abs=1e-15)
 
     def test_eighth_pi_value(self):
@@ -287,8 +281,3 @@ class TestConditionalMatrixSet:
     def test_strict_positivity_fails_at_equal_angles(self):
         assert not ConditionalMatrixSet.from_angles(AnglePair(0.4, 0.4)).strictly_positive
         assert ConditionalMatrixSet.from_angles(AnglePair(0.5, 0.4)).strictly_positive
-
-    def test_dict_round_trip(self):
-        bundle = ConditionalMatrixSet.from_angles(AnglePair(0.9, 0.2))
-        rebuilt = ConditionalMatrixSet.from_dict(bundle.to_dict())
-        assert rebuilt.p_bc == bundle.p_bc
