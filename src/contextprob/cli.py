@@ -92,23 +92,14 @@ def _uint64(text: str) -> int:
     return value
 
 
-def _float_list(text: str, expected: int) -> list[float]:
+def _four_floats(text: str) -> list[float]:
+    # --matrix row-major p(+|+),p(+|-),p(-|+),p(-|-), or --settings a,a',b,b'
     parts = text.split(",")
-    if len(parts) != expected:
+    if len(parts) != 4:
         raise argparse.ArgumentTypeError(
-            f"expected {expected} comma-separated numbers, got {len(parts)}"
+            f"expected 4 comma-separated numbers, got {len(parts)}"
         )
     return [_float_arg(part) for part in parts]
-
-
-def _matrix_arg(text: str) -> list[float]:
-    # Row-major: p(+|+), p(+|-), p(-|+), p(-|-)
-    return _float_list(text, 4)
-
-
-def _settings_arg(text: str) -> list[float]:
-    # a, a', b, b'
-    return _float_list(text, 4)
 
 
 # ---------------------------------------------------------------- small helpers
@@ -476,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="directly measured probability of the result")
     p_lambda.add_argument("--prior", type=_float_arg, required=True,
                           help="probability of the + conditioning outcome")
-    p_lambda.add_argument("--matrix", type=_matrix_arg, required=True,
+    p_lambda.add_argument("--matrix", type=_four_floats, required=True,
                           help="transition matrix, row-major: p(+|+),p(+|-),p(-|+),p(-|-)")
     p_lambda.add_argument("--beta", choices=sorted(_SIGN_VALUES), default="+",
                           help="result outcome (default: +)")
@@ -526,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_chsh = sub.add_parser("chsh", help="four-setting correlation scan")
-    p_chsh.add_argument("--settings", type=_settings_arg, default=None,
+    p_chsh.add_argument("--settings", type=_four_floats, default=None,
                         help="comma-separated a,a',b,b'")
     p_chsh.add_argument("--optimal", action="store_true",
                         help="use settings 0, pi/4, pi/8, 3 pi/8 (radians)")

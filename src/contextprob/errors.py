@@ -1,10 +1,12 @@
-"""Exception hierarchy shared by the whole package.
+"""Exception hierarchy shared by the whole package, and its one count check.
 
 Every error raised on purpose derives from :class:`ContextualProbabilityError`
 so callers can catch one type at an API boundary and map it to a diagnostic.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class ContextualProbabilityError(ValueError):
@@ -30,3 +32,10 @@ class PreconditionViolation(ContextualProbabilityError):
 
 class InvalidCount(ContextualProbabilityError):
     """A trial or sample count is not a positive integer."""
+
+
+def require_count(n: int, name: str) -> int:
+    """``n`` as an int, or :class:`InvalidCount` unless it is a positive integer."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise InvalidCount(f"{name} must be a positive integer, got {n!r}")
+    return int(n)

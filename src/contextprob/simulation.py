@@ -29,6 +29,9 @@ is re-drawn from a reserved counter range far above the trial range (offset
 
 Four-setting scans derive one child seed per setting pair from the root seed,
 so the pairs are independent but the whole scan replays from a single integer.
+The shared-hidden-angle baseline decides each side by integer thresholds on
+the hidden-angle word, found exactly before the trials are drawn, so that it
+is bit-identical to the sign of ``cos(setting - hidden)`` without a cosine.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from .core import BinaryDistribution
 from .eprbohm import AnglePair, conditional_probabilities
-from .errors import InvalidCount, PreconditionViolation
+from .errors import PreconditionViolation, require_count
 
 _BLOCK = 1 << 16  # trials per pass of the counting loop
 _MANTISSA_SHIFT = np.uint64(11)
@@ -66,22 +69,6 @@ class LhvStrategy(Enum):
     RANDOM_LOCAL = "random-local"
 
 
-def _require_count(n: int, name: str) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidCount(f"{name} must be a positive integer, got {n!r}")
-    return int(n)
-
-
-def _require_finite_settings(
-    a: float, a_prime: float, b: float, b_prime: float
-) -> tuple[float, float, float, float]:
-    settings = (float(a), float(a_prime), float(b), float(b_prime))
-    for name, value in zip(("a", "a'", "b", "b'"), settings):
-        if not math.isfinite(value):
-            raise PreconditionViolation(f"setting {name} must be finite, got {value}")
-    return settings
-
-
 def _require_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise PreconditionViolation(f"seed must be an integer, got {seed!r}")
@@ -101,7 +88,7 @@ class SimConfig:
     time_distribution: TimeDistribution = TimeDistribution.UNIFORM_SQUARE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_pairs", _require_count(self.n_pairs, "n_pairs"))
+        object.__setattr__(self, "n_pairs", require_count(self.n_pairs, "n_pairs"))
         object.__setattr__(self, "seed", _require_seed(self.seed))
         if not isinstance(self.time_distribution, TimeDistribution):
             raise PreconditionViolation(
@@ -146,14 +133,6 @@ class TrialRecord:
         for name, value in (("gamma", self.gamma), ("beta", self.beta)):
             if value not in (1, -1):
                 raise PreconditionViolation(f"{name} must be +1 or -1, got {value!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "t_selection": self.t_selection,
-            "t_measurement": self.t_measurement,
-            "gamma": self.gamma,
-            "beta": self.beta,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,17 +217,6 @@ class TimeOrderStats:
     std_gap: float
     min_gap: float
     max_gap: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "n_redraws": self.n_redraws,
-            "redraw_fraction": self.redraw_fraction,
-            "mean_gap": self.mean_gap,
-            "std_gap": self.std_gap,
-            "min_gap": self.min_gap,
-            "max_gap": self.max_gap,
-        }
 
 
 def _nan_to_none(value: float) -> float | None:
@@ -347,7 +315,7 @@ def _write_trial_lines(
     gamma_minus: np.ndarray,
     beta_minus: np.ndarray,
 ) -> None:
-    # The bytes json.dumps(TrialRecord(...).to_dict()) gives: json writes a
+    # The bytes json.dumps(asdict(TrialRecord(...))) gives: json writes a
     # float as its repr. Lines are streamed, never held as one block's text.
     sign = (1, -1)
     stream.writelines(
@@ -426,9 +394,7 @@ def run_simulation(config: SimConfig, *, trial_log: IO[str] | None = None) -> Si
         s = math.sqrt(p * (1.0 - p) / n_col)
         se[0, j] = s
         se[1, j] = s
-    corr = (
-        int(counts[0, 0]) - int(counts[1, 0]) - int(counts[0, 1]) + int(counts[1, 1])
-    ) / config.n_pairs
+    corr = _correlation(int(np.trace(counts)), config.n_pairs)
     return SimReport(
         counts=counts,
         estimated_conditionals=est,
@@ -478,6 +444,28 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
 
 _CHSH_PAIR_ORDER = ((0, 2), (0, 3), (1, 2), (1, 3))  # (a,b), (a,b'), (a',b), (a',b')
 _CHSH_SIGNS = (1.0, -1.0, 1.0, 1.0)
+_FLIP_CELLS = 4096  # cells per pass of the search for sign flips
+
+
+def _correlation(agree: int, n: int) -> float:
+    # the mean of n +-1 sign products, exact: an integer over n
+    return (2 * agree - n) / n
+
+
+def _scan(settings: tuple, n: int, seed: int, branch: int, agreements) -> float:
+    # E(a,b) - E(a,b') + E(a',b) + E(a',b'), where agreements(x, y, n, key)
+    # counts the trials of one pair whose signs agree, keyed by child (branch, k)
+    settings = tuple(float(value) for value in settings)
+    for name, setting in zip(("a", "a'", "b", "b'"), settings):
+        if not math.isfinite(setting):
+            raise PreconditionViolation(f"setting {name} must be finite, got {setting}")
+    n = require_count(n, "n_per_setting")
+    seed = _require_seed(seed)
+    value = 0.0
+    for k, (i, j) in enumerate(_CHSH_PAIR_ORDER):
+        key = _philox_key(_child_seed(seed, branch, k))
+        value += _CHSH_SIGNS[k] * _correlation(agreements(settings[i], settings[j], n, key), n)
+    return value
 
 
 def simulate_chsh(
@@ -496,25 +484,58 @@ def simulate_chsh(
     correlation from the counts, and combines them as
     ``E(a,b) - E(a,b') + E(a',b) + E(a',b')``.
     """
-    settings = _require_finite_settings(a, a_prime, b, b_prime)
-    n_per_setting = _require_count(n_per_setting, "n_per_setting")
-    seed = _require_seed(seed)
-    value = 0.0
-    for k, (i, j) in enumerate(_CHSH_PAIR_ORDER):
-        key = _philox_key(_child_seed(seed, 0, k))
-        cond = conditional_probabilities(settings[i] - settings[j])
-        counts, _ = _simulate_counts(
-            cond,
-            marginal_c.p_plus,
-            n_per_setting,
-            key,
-            TimeDistribution.FIXED_ORDER,
-        )
-        estimate = (
-            int(counts[0, 0]) - int(counts[1, 0]) - int(counts[0, 1]) + int(counts[1, 1])
-        ) / n_per_setting
-        value += _CHSH_SIGNS[k] * estimate
-    return value
+
+    def agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
+        cond = conditional_probabilities(x - y)
+        counts, _ = _simulate_counts(cond, marginal_c.p_plus, n, key, TimeDistribution.FIXED_ORDER)
+        return int(np.trace(counts))
+
+    return _scan((a, a_prime, b, b_prime), n_per_setting, seed, 0, agreements)
+
+
+def _sign_flips(x: float) -> tuple[bool, list[int]]:
+    """The sign of ``cos(x - hidden)`` at word 0, and each word where it flips.
+
+    ``x - hidden(k)`` is monotone in the word ``k`` after rounding, so the sign
+    flips only where it passes a zero of the cosine. Each of ``_FLIP_CELLS``
+    equal cells of the words spans ``2 pi / _FLIP_CELLS`` of angle plus
+    rounding, far below the ``pi`` between zeros, or rounds to at most two
+    arguments: it holds at most one flip. A cell whose ends differ is cut again,
+    down to single words. The grid end ``2**53`` is no word, never passed.
+    """
+    lo = np.zeros(1, dtype=np.uint64)  # left ends of the cells holding a flip
+    width = 1 << 53
+    while width > 1:
+        step = max(width // _FLIP_CELLS, 1)
+        words = lo[:, None] + np.uint64(step) * np.arange(width // step + 1, dtype=np.uint64)
+        # the hidden angle of a float model, Generator.random() * 2 pi
+        signs = np.cos(x - words * _UNIT * (2.0 * math.pi)) >= 0.0
+        if width == 1 << 53:
+            start = bool(signs[0, 0])
+        rows, cols = np.nonzero(signs[:, 1:] != signs[:, :-1])
+        lo, width = words[rows, cols], step
+    return start, (lo + np.uint64(1)).tolist()
+
+
+def _sign_agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
+    # A side's sign at word k is its sign at word 0, flipped by each of its
+    # thresholds at or below k, so the sides agree where k has passed an even
+    # number of the merged thresholds, unless they start apart.
+    (start_x, flips_x), (start_y, flips_y) = _sign_flips(x), _sign_flips(y)
+    flips = sorted(flips_x + flips_y)
+    even = n  # n - passed(1st) + passed(2nd) - ...
+    for _, bits in _word_blocks(key, n, width=1):
+        for i, t in enumerate(flips):
+            passed = int(np.count_nonzero(bits >= t))
+            even += passed if i % 2 else -passed
+    return even if start_x == start_y else n - even
+
+
+def _coin_agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
+    # side a reads words 0 .. n-1, side b words n .. 2n-1
+    half = _threshold(0.5)
+    sides = zip(_word_blocks(key, n, width=1), _word_blocks(key, n, width=1, first_word=n))
+    return sum(int(np.count_nonzero((a >= half) == (b >= half))) for (_, a), (_, b) in sides)
 
 
 def lhv_baseline_chsh(
@@ -532,33 +553,14 @@ def lhv_baseline_chsh(
     [0, 2 pi) per trial and makes each side output the sign of the cosine of
     its setting minus that angle; the single-pair correlation then depends
     only on the effective setting separation and the combination cannot leave
-    [-2, 2]. ``RANDOM_LOCAL`` replaces both outputs by independent fair
-    signs, so every correlation estimates 0. Child seeds per setting pair are
-    drawn from a branch disjoint from :func:`simulate_chsh`.
+    [-2, 2]. Each sign is decided by integer thresholds on the hidden angle's
+    word, found once per setting pair, bit-identical to the cosine sign.
+    ``RANDOM_LOCAL`` replaces both outputs by independent fair signs, so every
+    correlation estimates 0. Child seeds per setting pair are drawn from a
+    branch disjoint from :func:`simulate_chsh`.
     """
     if not isinstance(strategy, LhvStrategy):
         raise PreconditionViolation(f"strategy must be an LhvStrategy, got {strategy!r}")
-    settings = _require_finite_settings(a, a_prime, b, b_prime)
-    n = _require_count(n_per_setting, "n_per_setting")
-    seed = _require_seed(seed)
-    half = _threshold(0.5)
-    value = 0.0
-    for k, (i, j) in enumerate(_CHSH_PAIR_ORDER):
-        key = _philox_key(_child_seed(seed, 1, k))
-        x, y = settings[i], settings[j]
-        agree = 0  # trials whose two sides output the same sign
-        if strategy is LhvStrategy.DETERMINISTIC_SIGN:
-            for _, bits in _word_blocks(key, n, width=1):
-                hidden = bits[:, 0] * _UNIT * (2.0 * math.pi)
-                agree += int(np.count_nonzero(
-                    (np.cos(x - hidden) >= 0.0) == (np.cos(y - hidden) >= 0.0)
-                ))
-        else:
-            # side a reads words 0 .. n-1, side b words n .. 2n-1
-            side_a = _word_blocks(key, n, width=1)
-            side_b = _word_blocks(key, n, width=1, first_word=n)
-            for (_, bits_a), (_, bits_b) in zip(side_a, side_b):
-                agree += int(np.count_nonzero((bits_a >= half) == (bits_b >= half)))
-        # the mean of the +-1 products, exact: an integer over n
-        value += _CHSH_SIGNS[k] * ((2 * agree - n) / n)
-    return value
+    deterministic = strategy is LhvStrategy.DETERMINISTIC_SIGN
+    agreements = _sign_agreements if deterministic else _coin_agreements
+    return _scan((a, a_prime, b, b_prime), n_per_setting, seed, 1, agreements)

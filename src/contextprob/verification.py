@@ -33,7 +33,7 @@ from .eprbohm import (
     phase_entries,
     phase_opposition_residuals,
 )
-from .errors import InvalidCount
+from .errors import require_count
 
 # Angles are sampled away from the interval ends so every interference
 # denominator stays well above rounding scale and residual bounds are clean.
@@ -128,9 +128,7 @@ def run_property_suite(
     tol:
         Residual bound shared by the exact-identity checks.
     """
-    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool) or n_samples < 1:
-        raise InvalidCount(f"n_samples must be a positive integer, got {n_samples!r}")
-    n_samples = int(n_samples)
+    n_samples = require_count(n_samples, "n_samples")
     rng = np.random.default_rng(seed)
 
     def check(name: str, block_check, *args) -> PropertyCheck:

@@ -1,10 +1,11 @@
 import io
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextprob import simulation
@@ -91,9 +92,20 @@ class TestRunSimulation:
             monkeypatch.setattr(simulation, "_BLOCK", block)
             assert run_simulation(config(n=10_001)).to_json() == reference
 
-    def test_time_mode_never_changes_outcomes(self):
-        uniform = run_simulation(config())
-        fixed = run_simulation(config(mode=TimeDistribution.FIXED_ORDER))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3_000),
+        seed=st.integers(0, 2**64 - 1),
+        xi=st.floats(0.0, math.pi / 2.0, exclude_min=True, exclude_max=True),
+        eta=st.floats(0.0, math.pi / 2.0, exclude_min=True, exclude_max=True),
+        q=st.floats(0.0, 1.0),
+    )
+    def test_time_mode_never_changes_outcomes(self, n, seed, xi, eta, q):
+        def report(mode):
+            return run_simulation(config(n=n, seed=seed, xi=xi, eta=eta, q=q, mode=mode))
+
+        uniform = report(TimeDistribution.UNIFORM_SQUARE)
+        fixed = report(TimeDistribution.FIXED_ORDER)
         np.testing.assert_array_equal(uniform.counts, fixed.counts)
         np.testing.assert_array_equal(
             uniform.estimated_conditionals, fixed.estimated_conditionals
@@ -321,7 +333,7 @@ def reference_run(cfg):
         assert np.all(u[:, 0] != u[:, 1])  # no redraws at test sizes
         t_sel, t_meas = np.minimum(u[:, 0], u[:, 1]), np.maximum(u[:, 0], u[:, 1])
     log = "".join(
-        json.dumps(TrialRecord(float(a), float(b), int(g), int(h)).to_dict()) + "\n"
+        json.dumps(asdict(TrialRecord(float(a), float(b), int(g), int(h)))) + "\n"
         for a, b, g, h in zip(t_sel, t_meas, gamma, beta)
     )
     return counts, log
@@ -343,6 +355,15 @@ def reference_baseline(angles, strategy, n, seed):
             side_b = np.where(gen.random(n) < 0.5, 1, -1)
         value += (1.0, -1.0, 1.0, 1.0)[k] * float(np.mean(side_a * side_b))
     return value
+
+
+MAX_FLOAT = 1.7976931348623157e308
+SETTINGS_OF_EVERY_MAGNITUDE = [
+    OPTIMAL,
+    (-0.0, 5e-324, math.pi / 2.0, -math.pi / 2.0),
+    (1e7, 1e16, 2.0**53, MAX_FLOAT),
+    (-MAX_FLOAT, -1e16, 2.0**53, -0.0),
+]
 
 
 class TestCountingKernel:
@@ -393,14 +414,15 @@ class TestCountingKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 1_003])
     @pytest.mark.parametrize("block", [None, 1, 3, 64])
-    def test_baselines_match_the_one_shot_reference(self, monkeypatch, n, block):
+    @pytest.mark.parametrize("angles", SETTINGS_OF_EVERY_MAGNITUDE)
+    def test_baselines_match_the_one_shot_reference(self, monkeypatch, n, block, angles):
         # random-local's second side starts at word n, which is inside a
         # Philox block whenever n % 4 != 0
         if block is not None:
             monkeypatch.setattr(simulation, "_BLOCK", block)
         for strategy in LhvStrategy:
-            assert lhv_baseline_chsh(*OPTIMAL, strategy, n, 77) == reference_baseline(
-                OPTIMAL, strategy, n, 77
+            assert lhv_baseline_chsh(*angles, strategy, n, 77) == reference_baseline(
+                angles, strategy, n, 77
             )
 
 
@@ -426,3 +448,46 @@ def test_block_size_never_changes_an_output_byte(n, block, seed, mode):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "_BLOCK", block)
         assert outputs() == reference
+
+
+finite_settings = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    angles=st.tuples(finite_settings, finite_settings, finite_settings, finite_settings),
+    n=st.integers(1, 3_000),
+    block=st.integers(1, 4_096),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_deterministic_sign_matches_the_cosine_reference(angles, n, block, seed):
+    strategy = LhvStrategy.DETERMINISTIC_SIGN
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_BLOCK", block)
+        assert lhv_baseline_chsh(*angles, strategy, n, seed) == reference_baseline(
+            angles, strategy, n, seed
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=finite_settings)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=math.pi / 2.0)
+@example(x=-math.pi / 2.0)
+@example(x=math.pi / 2.0 - 2.0 * math.pi / 8192.0)  # last flip in the grid's last cell
+@example(x=1e7)
+@example(x=1e16)
+@example(x=2.0**53)
+@example(x=MAX_FLOAT)
+@example(x=-MAX_FLOAT)
+def test_sign_thresholds_equal_the_cosine_sign_next_to_every_flip(x):
+    start, flips = simulation._sign_flips(x)
+    assert flips == sorted(set(flips))
+    words = {0, 1, 2**53 - 2, 2**53 - 1}
+    for t in flips:
+        words.update(range(max(t - 32, 0), min(t + 33, 2**53)))
+    words = np.array(sorted(words), dtype=np.uint64)
+    cosine = np.cos(x - words * 2.0**-53 * (2.0 * math.pi)) >= 0.0
+    passed = np.searchsorted(np.array(flips, dtype=np.uint64), words, side="right")
+    np.testing.assert_array_equal(start ^ (passed % 2 == 1), cosine)
