@@ -11,7 +11,6 @@ it from the shell.
 
 from .core import (
     BOUNDARY_GUARD,
-    DOUBLE_STOCHASTIC_TOL,
     MINUS,
     NORMALIZATION_TOL,
     PLUS,
@@ -22,12 +21,10 @@ from .core import (
     classical_total_probability,
     incompatibility_coefficient,
     interference_probability,
-    is_double_stochastic,
 )
 from .eprbohm import (
     DEFAULT_SIGNS,
     AnglePair,
-    ConditionalMatrixSet,
     SignConvention,
     chsh,
     conditional_probabilities,
@@ -64,13 +61,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOUNDARY_GUARD",
-    "DOUBLE_STOCHASTIC_TOL",
     "MINUS",
     "NORMALIZATION_TOL",
     "PLUS",
     "AnglePair",
     "BinaryDistribution",
-    "ConditionalMatrixSet",
     "ContextualProbabilityError",
     "DEFAULT_SIGNS",
     "InterferenceCoefficient",
@@ -95,7 +90,6 @@ __all__ = [
     "epr_bohm_probabilities",
     "incompatibility_coefficient",
     "interference_probability",
-    "is_double_stochastic",
     "lhv_baseline_chsh",
     "matrices_from_angles",
     "reconstruct_via_interference",

@@ -10,6 +10,10 @@ and ``csv`` are machine formats carrying full-precision floats, so identical
 invocations produce byte-identical output and re-parsing recovers the
 in-memory values exactly. JSON always has the shape
 ``{"command", "inputs", "results", "seed"}`` with NaN rendered as null.
+There is one render path: each command handler returns an ``_Output`` record
+holding its values in every format, and :func:`main` picks the one asked for
+and writes it. In CSV mode a seeded command echoes its seed on stderr, so
+stdout stays pure CSV.
 
 Exit codes: 0 on success, 1 when a verified property fails, 2 on invalid
 usage or input validation errors, including an ``--out`` or ``--trace`` path
@@ -26,7 +30,7 @@ import json
 import math
 import sys
 from contextlib import ExitStack
-from typing import TextIO
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,12 +141,9 @@ def _json_text(command: str, inputs: dict, results: dict, seed: int | None) -> s
     return json.dumps(envelope, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(rows: list[list]) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
 
 
@@ -164,10 +165,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(text: str, out: TextIO | None) -> None:
-    (out or sys.stdout).write(text)
-
-
 def _matrix_lines(label: str, entries: np.ndarray, indent: str = "  ") -> list[str]:
     lines = [f"{indent}{label}  (rows: result +,-; columns: condition +,-)"]
     for row in entries:
@@ -175,10 +172,27 @@ def _matrix_lines(label: str, entries: np.ndarray, indent: str = "  ") -> list[s
     return lines
 
 
+@dataclass(frozen=True)
+class _Output:
+    """One command's values, ready for each format; ``main`` renders one.
+
+    ``rows`` are the CSV rows, header first. ``seed`` is None for commands that
+    draw nothing at random. ``status`` is the exit code: 1 when a verified
+    property failed, 0 otherwise.
+    """
+
+    inputs: dict
+    results: dict
+    seed: int | None
+    rows: list[list]
+    lines: list[str]
+    status: int = 0
+
+
 # ---------------------------------------------------------------- lambda command
 
 
-def _cmd_lambda(args: argparse.Namespace) -> int:
+def _cmd_lambda(args: argparse.Namespace) -> _Output:
     prior = BinaryDistribution.from_p_plus(args.prior)
     m = args.matrix
     transition = TransitionMatrix(np.array([[m[0], m[1]], [m[2], m[3]]]))
@@ -192,36 +206,24 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
         "matrix": transition.entries.tolist(),
         "beta": beta,
     }
-    results = {
-        "classical": classical,
-        "lambda": coeff.lam,
-        "regime": coeff.regime.value,
-        "theta": coeff.theta,
-    }
-
-    if args.format == "json":
-        _emit(_json_text("lambda", inputs, results, None), args.out)
-    elif args.format == "csv":
-        rows = [[key, _cell(value)] for key, value in results.items()]
-        _emit(_csv_text(["field", "value"], rows), args.out)
-    else:
-        lines = [
-            "incompatibility coefficient",
-            f"  observed  : {_fmt(args.observed)}",
-            f"  classical : {_fmt(classical)}",
-            f"  lambda    : {_fmt(coeff.lam)}",
-            f"  regime    : {coeff.regime.value}",
-        ]
-        if coeff.regime is Regime.TRIGONOMETRIC:
-            lines.append(f"  theta     : {_fmt(coeff.theta)} rad")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    results = {"classical": classical, **coeff.to_dict()}
+    rows = [["field", "value"], *([key, _cell(value)] for key, value in results.items())]
+    lines = [
+        "incompatibility coefficient",
+        f"  observed  : {_fmt(args.observed)}",
+        f"  classical : {_fmt(classical)}",
+        f"  lambda    : {_fmt(coeff.lam)}",
+        f"  regime    : {coeff.regime.value}",
+    ]
+    if coeff.regime is Regime.TRIGONOMETRIC:
+        lines.append(f"  theta     : {_fmt(coeff.theta)} rad")
+    return _Output(inputs, results, None, rows, lines)
 
 
 # ---------------------------------------------------------------- epr command
 
 
-def _cmd_epr(args: argparse.Namespace) -> int:
+def _cmd_epr(args: argparse.Namespace) -> _Output:
     angles = AnglePair(_to_radians(args.xi, args.unit), _to_radians(args.eta, args.unit))
     signs = DEFAULT_SIGNS.flipped() if args.flip_signs else DEFAULT_SIGNS
     marginal = BinaryDistribution.from_p_plus(args.marginal)
@@ -242,38 +244,31 @@ def _cmd_epr(args: argparse.Namespace) -> int:
         "max_abs_difference": max_diff,
         "correlation": corr,
     }
-
-    if args.format == "json":
-        _emit(_json_text("epr", inputs, results, None), args.out)
-    elif args.format == "csv":
-        rows = []
-        for label, matrix in (("closed_form", closed), ("reconstructed", recon)):
-            for i, b in enumerate(("+", "-")):
-                for j, g in enumerate(("+", "-")):
-                    rows.append([label, b, g, _cell(float(matrix.entries[i, j]))])
-        rows.append(["max_abs_difference", "", "", _cell(max_diff)])
-        rows.append(["correlation", "", "", _cell(corr)])
-        _emit(_csv_text(["record", "beta", "gamma", "value"], rows), args.out)
-    else:
-        lines = [
-            "selection-conditioned probabilities",
-            f"  xi = {_fmt(angles.xi)} rad, eta = {_fmt(angles.eta)} rad",
-            f"  phase cosines: ({_fmt(signs.cos_theta_plus)}, {_fmt(signs.cos_theta_minus)})",
-        ]
-        lines += _matrix_lines("closed form", closed.entries)
-        lines += _matrix_lines("interference reconstruction", recon.entries)
-        lines += [
-            f"  max |difference| : {max_diff:.3e}",
-            f"  correlation      : {_fmt(corr)}  (marginal p(+) = {_fmt(marginal.p_plus)})",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    rows = [["record", "beta", "gamma", "value"]]
+    for label, matrix in (("closed_form", closed), ("reconstructed", recon)):
+        for i, b in enumerate(("+", "-")):
+            for j, g in enumerate(("+", "-")):
+                rows.append([label, b, g, _cell(float(matrix.entries[i, j]))])
+    rows.append(["max_abs_difference", "", "", _cell(max_diff)])
+    rows.append(["correlation", "", "", _cell(corr)])
+    lines = [
+        "selection-conditioned probabilities",
+        f"  xi = {_fmt(angles.xi)} rad, eta = {_fmt(angles.eta)} rad",
+        f"  phase cosines: ({_fmt(signs.cos_theta_plus)}, {_fmt(signs.cos_theta_minus)})",
+    ]
+    lines += _matrix_lines("closed form", closed.entries)
+    lines += _matrix_lines("interference reconstruction", recon.entries)
+    lines += [
+        f"  max |difference| : {max_diff:.3e}",
+        f"  correlation      : {_fmt(corr)}  (marginal p(+) = {_fmt(marginal.p_plus)})",
+    ]
+    return _Output(inputs, results, None, rows, lines)
 
 
 # ---------------------------------------------------------------- verify command
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Output:
     seed = _resolve_seed(args.seed)
     checks = run_property_suite(
         args.samples, seed, break_phase_flip=args.break_phase_flip
@@ -285,51 +280,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "checks": [check.to_dict() for check in checks],
         "all_passed": all_passed,
     }
-
-    if args.format == "json":
-        _emit(_json_text("verify", inputs, results, seed), args.out)
-    elif args.format == "csv":
-        rows = [
-            [check.name, check.n_samples, _cell(check.worst_residual),
-             "PASS" if check.passed else "FAIL"]
-            for check in checks
-        ]
-        _emit(_csv_text(["property", "samples", "worst_residual", "status"], rows), args.out)
-    else:
-        width = max(len(check.name) for check in checks)
-        lines = [f"property checks  (seed {seed}, {args.samples} samples each)"]
-        for check in checks:
-            status = "PASS" if check.passed else "FAIL"
-            lines.append(
-                f"  {check.name:<{width}s}  worst residual {check.worst_residual:9.3e}  {status}"
-            )
-        lines.append("all passed" if all_passed else "FAILURES PRESENT")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all_passed else 1
+    rows = [["property", "samples", "worst_residual", "status"]]
+    width = max(len(check.name) for check in checks)
+    lines = [f"property checks  (seed {seed}, {args.samples} samples each)"]
+    for check in checks:
+        status = "PASS" if check.passed else "FAIL"
+        rows.append([check.name, check.n_samples, _cell(check.worst_residual), status])
+        lines.append(
+            f"  {check.name:<{width}s}  worst residual {check.worst_residual:9.3e}  {status}"
+        )
+    lines.append("all passed" if all_passed else "FAILURES PRESENT")
+    return _Output(inputs, results, seed, rows, lines, 0 if all_passed else 1)
 
 
 # ---------------------------------------------------------------- simulate command
 
 
-def _simulate_csv(report) -> str:
-    rows = []
-    for i, b in enumerate(("+", "-")):
-        for j, g in enumerate(("+", "-")):
-            est = float(report.estimated_conditionals[i, j])
-            se = float(report.std_errors[i, j])
-            rows.append(
-                [
-                    b,
-                    g,
-                    int(report.counts[i, j]),
-                    _cell(est) if math.isfinite(est) else "nan",
-                    _cell(se) if math.isfinite(se) else "nan",
-                ]
-            )
-    return _csv_text(["beta", "gamma", "count", "estimate", "std_error"], rows)
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> _Output:
     seed = _resolve_seed(args.seed)
     config = SimConfig(
         angles=AnglePair(_to_radians(args.xi, args.unit), _to_radians(args.eta, args.unit)),
@@ -342,50 +309,43 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     analytic = conditional_probabilities(config.angles.delta)
     analytic_corr = setting_correlation(config.angles.delta, config.marginal_c)
 
-    if args.format == "json":
-        results = report.to_dict()
-        results["analytic_conditionals"] = analytic.tolist()
-        results["analytic_correlation"] = analytic_corr
-        _emit(_json_text("simulate", config.to_dict(), results, seed), args.out)
-    elif args.format == "csv":
-        print(f"seed: {seed}", file=sys.stderr)
-        _emit(_simulate_csv(report), args.out)
-    else:
-        lines = [
-            "ensemble simulation",
-            f"  xi = {_fmt(config.angles.xi)} rad, eta = {_fmt(config.angles.eta)} rad, "
-            f"marginal p(+) = {_fmt(config.marginal_c.p_plus)}",
-            f"  trials = {config.n_pairs}, seed = {seed}, "
-            f"times = {config.time_distribution.value}, redraws = {report.n_redraws}",
-            "  beta gamma      count     estimate    std_error     analytic",
-        ]
-        for i, b in enumerate(("+", "-")):
-            for j, g in enumerate(("+", "-")):
-                lines.append(
-                    f"  {b:>4s} {g:>5s} {int(report.counts[i, j]):>10d} "
-                    f"{_fmt(float(report.estimated_conditionals[i, j])):>12s} "
-                    f"{_fmt(float(report.std_errors[i, j])):>12s} "
-                    f"{_fmt(float(analytic[i, j])):>12s}"
-                )
-        lines.append(
-            f"  correlation: estimated {_fmt(report.estimated_correlation)}, "
-            f"analytic {_fmt(analytic_corr)}"
-        )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    results = report.to_dict()
+    results["analytic_conditionals"] = analytic.tolist()
+    results["analytic_correlation"] = analytic_corr
+    rows = [["beta", "gamma", "count", "estimate", "std_error"]]
+    lines = [
+        "ensemble simulation",
+        f"  xi = {_fmt(config.angles.xi)} rad, eta = {_fmt(config.angles.eta)} rad, "
+        f"marginal p(+) = {_fmt(config.marginal_c.p_plus)}",
+        f"  trials = {config.n_pairs}, seed = {seed}, "
+        f"times = {config.time_distribution.value}, redraws = {report.n_redraws}",
+        "  beta gamma      count     estimate    std_error     analytic",
+    ]
+    for i, b in enumerate(("+", "-")):
+        for j, g in enumerate(("+", "-")):
+            count = int(report.counts[i, j])
+            est = float(report.estimated_conditionals[i, j])
+            se = float(report.std_errors[i, j])
+            rows.append([b, g, count, _cell(est), _cell(se)])
+            lines.append(
+                f"  {b:>4s} {g:>5s} {count:>10d} {_fmt(est):>12s} {_fmt(se):>12s} "
+                f"{_fmt(float(analytic[i, j])):>12s}"
+            )
+    lines.append(
+        f"  correlation: estimated {_fmt(report.estimated_correlation)}, "
+        f"analytic {_fmt(analytic_corr)}"
+    )
+    return _Output(config.to_dict(), results, seed, rows, lines)
 
 
 # ---------------------------------------------------------------- chsh command
 
 
-def _cmd_chsh(args: argparse.Namespace) -> int:
+def _cmd_chsh(args: argparse.Namespace) -> _Output:
     if args.optimal:
         a, a_prime, b, b_prime = OPTIMAL_SETTINGS
-    elif args.settings is not None:
-        a, a_prime, b, b_prime = (_to_radians(v, args.unit) for v in args.settings)
     else:
-        print("error: provide --settings a,a',b,b' or --optimal", file=sys.stderr)
-        return 2
+        a, a_prime, b, b_prime = (_to_radians(v, args.unit) for v in args.settings)
     seed = _resolve_seed(args.seed)
     marginal = BinaryDistribution.from_p_plus(args.marginal)
     s_estimate = simulate_chsh(a, a_prime, b, b_prime, marginal, args.n, seed)
@@ -411,35 +371,27 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
         "s_analytic": s_analytic,
         "baseline": baseline,
     }
-
-    if args.format == "json":
-        _emit(_json_text("chsh", inputs, results, seed), args.out)
-    elif args.format == "csv":
-        rows = [
-            ["s_estimate", _cell(s_estimate)],
-            ["s_abs", _cell(abs(s_estimate))],
-            ["s_analytic", _cell(s_analytic)],
-        ]
-        if baseline:
-            rows.append([f"baseline_{baseline['strategy']}", _cell(baseline["s_estimate"])])
-        print(f"seed: {seed}", file=sys.stderr)
-        _emit(_csv_text(["quantity", "value"], rows), args.out)
-    else:
-        lines = [
-            "four-setting correlation scan",
-            f"  settings (rad): a = {_fmt(a)}, a' = {_fmt(a_prime)}, "
-            f"b = {_fmt(b)}, b' = {_fmt(b_prime)}",
-            f"  trials per setting = {args.n}, seed = {seed}",
-            f"  S estimate : {_fmt(s_estimate)}   |S| = {_fmt(abs(s_estimate))}",
-            f"  S analytic : {_fmt(s_analytic)}",
-        ]
-        if baseline:
-            lines.append(
-                f"  baseline ({baseline['strategy']}): S = {_fmt(baseline['s_estimate'])}"
-                f"   |S| = {_fmt(baseline['s_abs'])}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    rows = [
+        ["quantity", "value"],
+        ["s_estimate", _cell(s_estimate)],
+        ["s_abs", _cell(abs(s_estimate))],
+        ["s_analytic", _cell(s_analytic)],
+    ]
+    lines = [
+        "four-setting correlation scan",
+        f"  settings (rad): a = {_fmt(a)}, a' = {_fmt(a_prime)}, "
+        f"b = {_fmt(b)}, b' = {_fmt(b_prime)}",
+        f"  trials per setting = {args.n}, seed = {seed}",
+        f"  S estimate : {_fmt(s_estimate)}   |S| = {_fmt(abs(s_estimate))}",
+        f"  S analytic : {_fmt(s_analytic)}",
+    ]
+    if baseline:
+        rows.append([f"baseline_{baseline['strategy']}", _cell(baseline["s_estimate"])])
+        lines.append(
+            f"  baseline ({baseline['strategy']}): S = {_fmt(baseline['s_estimate'])}"
+            f"   |S| = {_fmt(baseline['s_abs'])}"
+        )
+    return _Output(inputs, results, seed, rows, lines)
 
 
 # ---------------------------------------------------------------- parser wiring
@@ -517,10 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_chsh = sub.add_parser("chsh", help="four-setting correlation scan")
-    p_chsh.add_argument("--settings", type=_four_floats, default=None,
-                        help="comma-separated a,a',b,b'")
-    p_chsh.add_argument("--optimal", action="store_true",
-                        help="use settings 0, pi/4, pi/8, 3 pi/8 (radians)")
+    p_settings = p_chsh.add_mutually_exclusive_group(required=True)
+    p_settings.add_argument("--settings", type=_four_floats,
+                            help="comma-separated a,a',b,b'")
+    p_settings.add_argument("--optimal", action="store_true",
+                            help="use settings 0, pi/4, pi/8, 3 pi/8 (radians)")
     p_chsh.add_argument("--unit", choices=("rad", "deg"), default="rad",
                         help="unit of --settings values (default: rad)")
     p_chsh.add_argument("--marginal", type=_float_arg, default=0.5,
@@ -537,14 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_outputs(args: argparse.Namespace, files: ExitStack) -> None:
-    # Replace the --out and --trace paths on ``args`` with open text files.
-    for name in ("out", "trace"):
-        path = getattr(args, name, None)
-        if path:
-            setattr(args, name, files.enter_context(open(path, "w", encoding="utf-8")))
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -552,16 +497,28 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has already written its message
         return int(exc.code or 0)
     with ExitStack() as files:
-        try:
-            _open_outputs(args, files)
+        try:  # replace the --out and --trace paths on ``args`` with open files
+            for name in ("out", "trace"):
+                if path := getattr(args, name, None):
+                    setattr(args, name, files.enter_context(open(path, "w", encoding="utf-8")))
         except OSError as exc:
             print(f"error: cannot open output file: {exc}", file=sys.stderr)
             return 2
         try:
-            return args.handler(args)
+            output = args.handler(args)
         except ContextualProbabilityError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        if args.format == "json":
+            text = _json_text(args.command, output.inputs, output.results, output.seed)
+        elif args.format == "csv":
+            text = _csv_text(output.rows)
+            if output.seed is not None:
+                print(f"seed: {output.seed}", file=sys.stderr)
+        else:
+            text = "\n".join(output.lines) + "\n"
+        (args.out or sys.stdout).write(text)
+        return output.status
 
 
 if __name__ == "__main__":

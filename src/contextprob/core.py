@@ -40,10 +40,6 @@ MINUS = -1
 # inputs further off than this are data errors, not rounding.
 NORMALIZATION_TOL = 1e-12
 
-# Default slack for the doubly-stochastic predicate. Estimated matrices carry
-# sampling noise, so this one is a keyword argument.
-DOUBLE_STOCHASTIC_TOL = 1e-9
-
 # interference_probability snaps results within this distance back onto the
 # [0, 1] boundary. A consistent (prior, transitions, theta) triple can only
 # leave the interval through last-bit rounding; genuine inconsistencies
@@ -116,8 +112,8 @@ class TransitionMatrix:
     ``entries[i][j]`` is the probability of result ``beta`` given condition
     ``alpha``, with ``+1`` mapped to index 0 and ``-1`` to index 1. Rows index
     the result, columns the condition, so each column sums to 1 within
-    ``NORMALIZATION_TOL``. Rows need not: row sums equal 1 only for the
-    doubly-stochastic subclass tested by :func:`is_double_stochastic`.
+    ``NORMALIZATION_TOL``. Rows need not: row sums equal 1 only for a
+    doubly-stochastic matrix, whose :func:`row_sum_residuals` vanish.
     """
 
     entries: np.ndarray
@@ -146,9 +142,6 @@ class TransitionMatrix:
         """The result distribution for one fixed condition."""
         j = _outcome_index(condition)
         return BinaryDistribution(float(self.entries[0, j]), float(self.entries[1, j]))
-
-    def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
 
     def to_dict(self) -> dict:
         return {"entries": self.entries.tolist()}
@@ -418,14 +411,3 @@ def interference_probability(
         configurations.
     """
     return float(interference_values(*_four_factors(prior, transition, beta), float(theta)))
-
-
-def is_double_stochastic(
-    transition: TransitionMatrix, tol: float = DOUBLE_STOCHASTIC_TOL
-) -> bool:
-    """True when every row of ``transition`` also sums to 1 within ``tol``.
-
-    Columns already sum to 1 by construction, so this is the extra symmetry
-    that makes the matrix doubly stochastic.
-    """
-    return bool(row_sum_residuals(transition.entries) <= float(tol))

@@ -357,35 +357,3 @@ def chsh(
         chsh_values(a, a_prime, b, b_prime, marginal_c.p_plus, marginal_c.p_minus)
     )
 
-
-@dataclass(frozen=True, eq=False)
-class ConditionalMatrixSet:
-    """The three conditional matrices of one angle pair, bundled.
-
-    ``p_ac`` and ``p_ba`` come straight from the parametrization;
-    ``p_bc`` is the closed-form selection-conditioned matrix.
-    """
-
-    p_ac: TransitionMatrix
-    p_ba: TransitionMatrix
-    p_bc: TransitionMatrix
-
-    @classmethod
-    def from_angles(cls, angles: AnglePair) -> "ConditionalMatrixSet":
-        p_ac, p_ba = matrices_from_angles(angles)
-        return cls(p_ac=p_ac, p_ba=p_ba, p_bc=epr_bohm_probabilities(angles))
-
-    @property
-    def strictly_positive(self) -> bool:
-        return bool(
-            np.all(self.p_ac.entries > 0.0)
-            and np.all(self.p_ba.entries > 0.0)
-            and np.all(self.p_bc.entries > 0.0)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "p_ac": self.p_ac.to_dict(),
-            "p_ba": self.p_ba.to_dict(),
-            "p_bc": self.p_bc.to_dict(),
-        }

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole package, and its one count check.
+"""Exception hierarchy shared by the whole package, and its count and seed checks.
 
 Every error raised on purpose derives from :class:`ContextualProbabilityError`
 so callers can catch one type at an API boundary and map it to a diagnostic.
@@ -39,3 +39,12 @@ def require_count(n: int, name: str) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidCount(f"{name} must be a positive integer, got {n!r}")
     return int(n)
+
+
+def require_seed(seed: int) -> int:
+    """``seed`` as an int, or :class:`PreconditionViolation` unless ``0 <= seed < 2**64``."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise PreconditionViolation(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 1 << 64:
+        raise PreconditionViolation(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
+    return int(seed)

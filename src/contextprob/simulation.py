@@ -46,13 +46,12 @@ import numpy as np
 
 from .core import BinaryDistribution
 from .eprbohm import AnglePair, conditional_probabilities
-from .errors import PreconditionViolation, require_count
+from .errors import PreconditionViolation, require_count, require_seed
 
 _BLOCK = 1 << 16  # trials per pass of the counting loop
 _MANTISSA_SHIFT = np.uint64(11)
 _UNIT = 2.0**-53  # Generator.random() is (word >> 11) * _UNIT
 _REDRAW_COUNTER_BASE = 1 << 64
-_SEED_LIMIT = 1 << 64
 
 
 class TimeDistribution(Enum):
@@ -69,14 +68,6 @@ class LhvStrategy(Enum):
     RANDOM_LOCAL = "random-local"
 
 
-def _require_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise PreconditionViolation(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < _SEED_LIMIT:
-        raise PreconditionViolation(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
-    return int(seed)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Immutable description of one simulation run."""
@@ -89,7 +80,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_pairs", require_count(self.n_pairs, "n_pairs"))
-        object.__setattr__(self, "seed", _require_seed(self.seed))
+        object.__setattr__(self, "seed", require_seed(self.seed))
         if not isinstance(self.time_distribution, TimeDistribution):
             raise PreconditionViolation(
                 f"time_distribution must be a TimeDistribution, got {self.time_distribution!r}"
@@ -460,7 +451,7 @@ def _scan(settings: tuple, n: int, seed: int, branch: int, agreements) -> float:
         if not math.isfinite(setting):
             raise PreconditionViolation(f"setting {name} must be finite, got {setting}")
     n = require_count(n, "n_per_setting")
-    seed = _require_seed(seed)
+    seed = require_seed(seed)
     value = 0.0
     for k, (i, j) in enumerate(_CHSH_PAIR_ORDER):
         key = _philox_key(_child_seed(seed, branch, k))

@@ -33,7 +33,7 @@ from .eprbohm import (
     phase_entries,
     phase_opposition_residuals,
 )
-from .errors import require_count
+from .errors import require_count, require_seed
 
 # Angles are sampled away from the interval ends so every interference
 # denominator stays well above rounding scale and residual bounds are clean.
@@ -42,6 +42,9 @@ from .errors import require_count
 _ANGLE_MARGIN = 0.05
 
 _TSIRELSON = 2.0 * np.sqrt(2.0)
+
+# Residual bound shared by the exact-identity checks.
+_TOL = 1e-12
 
 # Samples per block. Peak memory of the sweep is a few dozen arrays of this
 # many 2x2 matrices.
@@ -112,7 +115,6 @@ def run_property_suite(
     seed: int,
     *,
     break_phase_flip: bool = False,
-    tol: float = 1e-12,
 ) -> list[PropertyCheck]:
     """Run every check on a fresh seeded sample and return their outcomes.
 
@@ -125,11 +127,16 @@ def run_property_suite(
     break_phase_flip:
         Run the phase-flip check with the cross-context flip deliberately
         suppressed. The check then fails by design.
-    tol:
-        Residual bound shared by the exact-identity checks.
+
+    Raises
+    ------
+    InvalidCount
+        If ``n_samples`` is not a positive integer.
+    PreconditionViolation
+        If ``seed`` is not an integer in ``[0, 2**64)``.
     """
     n_samples = require_count(n_samples, "n_samples")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
 
     def check(name: str, block_check, *args) -> PropertyCheck:
         return PropertyCheck(name, n_samples, *_sweep(rng, n_samples, block_check, *args))
@@ -139,29 +146,25 @@ def run_property_suite(
     )
     # The checks share the generator, so their order fixes what each draws.
     return [
-        check("reconstruction-agreement", _reconstruction_agreement, tol),
-        check("double-stochasticity", _double_stochasticity, tol),
-        check("phase-opposition", _phase_opposition, tol),
-        check(flip_name, _selection_phase_flip, tol, break_phase_flip),
-        check("coefficient-roundtrip", _coefficient_roundtrip, tol),
-        check("correlation-closed-form", _correlation_closed_form, tol),
-        check("chsh-bound", _chsh_bound, tol),
+        check("reconstruction-agreement", _reconstruction_agreement),
+        check("double-stochasticity", _double_stochasticity),
+        check("phase-opposition", _phase_opposition),
+        check(flip_name, _selection_phase_flip, break_phase_flip),
+        check("coefficient-roundtrip", _coefficient_roundtrip),
+        check("correlation-closed-form", _correlation_closed_form),
+        check("chsh-bound", _chsh_bound),
     ]
 
 
-def _reconstruction_agreement(
-    rng: np.random.Generator, size: int, tol: float
-) -> tuple[float, bool]:
+def _reconstruction_agreement(rng: np.random.Generator, size: int) -> tuple[float, bool]:
     # Interference route equals the closed form entrywise.
     xi, eta = _sample_angles(rng, size)
     recon = _reconstruction(*angle_matrices(xi, eta))
     worst = float(np.max(np.abs(_closed_form(xi, eta) - recon)))
-    return worst, worst <= tol
+    return worst, worst <= _TOL
 
 
-def _double_stochasticity(
-    rng: np.random.Generator, size: int, tol: float
-) -> tuple[float, bool]:
+def _double_stochasticity(rng: np.random.Generator, size: int) -> tuple[float, bool]:
     # All three conditional matrices, plus the reconstruction, have unit rows.
     xi, eta = _sample_angles(rng, size)
     p_ac, p_ba = angle_matrices(xi, eta)
@@ -169,40 +172,36 @@ def _double_stochasticity(
     stacks = (p_ac, p_ba, p_bc, _reconstruction(p_ac, p_ba))
     worst = max(float(np.max(row_sum_residuals(m))) for m in stacks)
     strictly_positive = all(bool(np.all(m > 0.0)) for m in (p_ac, p_ba, p_bc))
-    return worst, worst <= tol and strictly_positive
+    return worst, worst <= _TOL and strictly_positive
 
 
-def _phase_opposition(
-    rng: np.random.Generator, size: int, tol: float
-) -> tuple[float, bool]:
+def _phase_opposition(rng: np.random.Generator, size: int) -> tuple[float, bool]:
     # Opposite maximal phases keep the column normalized; equal ones cannot.
     # The check only classifies, so its residual reads 0.
     p_ac, p_ba = angle_matrices(*_sample_angles(rng, size))
     passed = all(
-        bool(np.all(phase_opposition_residuals(p_ac, p_ba, *pair) <= tol))
+        bool(np.all(phase_opposition_residuals(p_ac, p_ba, *pair) <= _TOL))
         for pair in ((-1.0, 1.0), (1.0, -1.0))
     ) and not any(
-        bool(np.any(phase_opposition_residuals(p_ac, p_ba, *pair) <= tol))
+        bool(np.any(phase_opposition_residuals(p_ac, p_ba, *pair) <= _TOL))
         for pair in ((1.0, 1.0), (-1.0, -1.0))
     )
     return 0.0, passed
 
 
 def _selection_phase_flip(
-    rng: np.random.Generator, size: int, tol: float, violate: bool
+    rng: np.random.Generator, size: int, violate: bool
 ) -> tuple[float, bool]:
     # Rows of the reconstruction stay normalized exactly because the second
     # selection context negates both phase cosines. The residual reported is
     # a 0/1 failure indicator.
     p_ac, p_ba = angle_matrices(*_sample_angles(rng, size))
     entries = phase_entries(p_ac, p_ba, DEFAULT_SIGNS, flip_second_column=not violate)
-    passed = bool(np.all(row_sum_residuals(entries) <= tol))
+    passed = bool(np.all(row_sum_residuals(entries) <= _TOL))
     return (0.0 if passed else 1.0), passed
 
 
-def _coefficient_roundtrip(
-    rng: np.random.Generator, size: int, tol: float
-) -> tuple[float, bool]:
+def _coefficient_roundtrip(rng: np.random.Generator, size: int) -> tuple[float, bool]:
     # Feeding the closed-form entries back through the coefficient recovers
     # the maximal phase cosines, flipped in the second selection column.
     xi, eta = _sample_angles(rng, size)
@@ -220,26 +219,22 @@ def _coefficient_roundtrip(
                 p_ac[:, 1, gamma], p_ba[:, beta, 1],
             )
             worst = max(worst, float(np.max(np.abs(lam - flip * cos_theta))))
-    return worst, worst <= tol
+    return worst, worst <= _TOL
 
 
-def _correlation_closed_form(
-    rng: np.random.Generator, size: int, tol: float
-) -> tuple[float, bool]:
+def _correlation_closed_form(rng: np.random.Generator, size: int) -> tuple[float, bool]:
     # E(delta) = -cos(2 delta), independent of the selection marginal. Each
     # sample draws its difference, then its marginal weight p(+).
     draws = rng.uniform([-2.0 * np.pi, 0.0], [2.0 * np.pi, 1.0], size=(size, 2))
     delta, p_plus = draws[:, 0], draws[:, 1]
     value = correlation_values(delta, p_plus, 1.0 - p_plus)
     worst = float(np.max(np.abs(value + np.cos(2.0 * delta))))
-    return worst, worst <= tol
+    return worst, worst <= _TOL
 
 
-def _chsh_bound(
-    rng: np.random.Generator, size: int, tol: float
-) -> tuple[float, bool]:
+def _chsh_bound(rng: np.random.Generator, size: int) -> tuple[float, bool]:
     # |S| never exceeds 2 sqrt(2) over arbitrary setting quadruples.
     a, a_prime, b, b_prime = rng.uniform(0.0, 2.0 * np.pi, size=(size, 4)).T
     s = chsh_values(a, a_prime, b, b_prime, 0.5, 0.5)  # uniform selection marginal
     worst = float(np.max(np.maximum(np.abs(s) - _TSIRELSON, 0.0)))
-    return worst, worst <= tol
+    return worst, worst <= _TOL

@@ -1,7 +1,11 @@
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +391,14 @@ class TestChshCommand:
         assert code == 2
         assert "--settings" in err
 
+    def test_conflicting_settings_exit_two(self, capsys):
+        code, out, err = run(capsys, "chsh", "--optimal", *OPTIMAL_ARGS, "--n", "100")
+        assert code == 2
+        assert out == ""
+        assert err.endswith(
+            "error: argument --settings: not allowed with argument --optimal\n"
+        )
+
     def test_same_seed_same_bytes_across_chunks(self, capsys, monkeypatch):
         argv = ["chsh", "--optimal", "--n", "5000", "--seed", "3",
                 "--baseline", "random-local", "--format", "json"]
@@ -439,3 +451,141 @@ class TestParserBasics:
             "--seed", str(1 << 64),
         )
         assert code == 2
+
+
+# ---------------------------------------------------------------- pinned output
+
+# Every command in every format, and the error paths, as (id, argv). "{tmp}"
+# stands for a fresh directory; tests/cli_pinned.json holds the exit code,
+# stdout, stderr (with that directory written back as "{tmp}"), the --out
+# file and the sha256 of the --trace file each case gave before the output
+# code was folded into one render path. Rewrite it only for a deliberate
+# output change: PYTHONPATH=src python tests/test_cli.py
+LAMBDA_TRIG = ["lambda", "--observed", "0.85", "--prior", "0.3", "--matrix", "0.2,0.9,0.8,0.1"]
+LAMBDA_HYPER = ["lambda", "--observed", "0.9", "--prior", "0.3", "--matrix", "0.2,0.9,0.8,0.1",
+                "--beta", "-"]
+LAMBDA_DEGENERATE = ["lambda", "--observed", "0.5", "--prior", "1.0", "--matrix", "0.5,0.5,0.5,0.5"]
+EPR = ["epr", "--xi", "0.9", "--eta", "0.4", "--marginal", "0.3"]
+VERIFY = ["verify", "--samples", "50", "--seed", "1"]
+SIMULATE = ["simulate", "--xi", "1.0471975511965976", "--eta", "0.5235987755982988",
+            "--n", "200", "--seed", "7"]
+CHSH = ["chsh", "--optimal", "--n", "300", "--seed", "4"]
+
+PINNED_CASES = {}
+for _name, _argv in {
+    "lambda-trigonometric": LAMBDA_TRIG,
+    "lambda-hyperbolic": LAMBDA_HYPER,
+    "lambda-degenerate": LAMBDA_DEGENERATE,
+    "epr": EPR,
+    "epr-flip-signs": [*EPR, "--flip-signs"],
+    "epr-deg": ["epr", "--xi", "60", "--eta", "30", "--unit", "deg"],
+    "verify": VERIFY,
+    "verify-break-phase-flip": [*VERIFY, "--break-phase-flip"],
+    "simulate-uniform-square": SIMULATE,
+    "simulate-fixed-order": [*SIMULATE, "--time-dist", "fixed-order"],
+    "simulate-degenerate-marginal": [*SIMULATE, "--marginal", "1.0"],
+    "chsh": CHSH,
+    "chsh-deterministic-sign": [*CHSH, "--baseline", "deterministic-sign"],
+    "chsh-random-local": [*CHSH, "--baseline", "random-local"],
+    "chsh-deg": ["chsh", "--settings", "0,45,22.5,67.5", "--unit", "deg",
+                 "--n", "300", "--seed", "11"],
+}.items():
+    for _fmt in ("table", "json", "csv"):
+        PINNED_CASES[f"{_name}-{_fmt}"] = [*_argv, "--format", _fmt]
+PINNED_CASES.update({
+    "simulate-uniform-square-trace": [*SIMULATE, "--format", "json", "--trace", "{tmp}/trace"],
+    "simulate-fixed-order-trace": [*SIMULATE, "--time-dist", "fixed-order",
+                                   "--trace", "{tmp}/trace"],
+    "simulate-json-out": [*SIMULATE, "--format", "json", "--out", "{tmp}/out"],
+    "verify-table-out": [*VERIFY, "--out", "{tmp}/out"],
+    "chsh-csv-out": [*CHSH, "--format", "csv", "--out", "{tmp}/out"],
+    "lambda-csv-out": [*LAMBDA_TRIG, "--format", "csv", "--out", "{tmp}/out"],
+    "help": ["--help"],
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "lambda-bad-number": ["lambda", "--observed", "abc", "--prior", "0.5",
+                          "--matrix", "0.5,0.5,0.5,0.5"],
+    "lambda-malformed-matrix": ["lambda", "--observed", "0.5", "--prior", "0.5",
+                                "--matrix", "0.5,0.5"],
+    "lambda-observed-out-of-range": ["lambda", "--observed", "1.5", "--prior", "0.5",
+                                     "--matrix", "0.5,0.5,0.5,0.5"],
+    "epr-boundary-angle": ["epr", "--xi", "0", "--eta", "0.5"],
+    "verify-zero-samples": ["verify", "--samples", "0"],
+    "verify-out-missing-directory": [*VERIFY, "--out", "{tmp}/missing/out"],
+    "simulate-zero-trials": [*SIMULATE[:5], "--n", "0"],
+    "simulate-seed-too-wide": [*SIMULATE[:7], "--seed", str(1 << 64)],
+    "simulate-trace-missing-directory": [*SIMULATE, "--trace", "{tmp}/missing/trace"],
+    "chsh-missing-settings": ["chsh", "--n", "100"],
+    "chsh-non-finite-setting": ["chsh", "--settings", "inf,0,0,0", "--n", "100", "--seed", "1"],
+})
+
+CHSH_USAGE = (
+    "usage: contextprob chsh [-h] (--settings SETTINGS | --optimal)\n"
+    "                        [--unit {rad,deg}] [--marginal MARGINAL] --n N\n"
+    "                        [--seed SEED]\n"
+    "                        [--baseline {deterministic-sign,random-local}]\n"
+    "                        [--format {table,json,csv}] [--out PATH]\n"
+)
+
+# The deliberate differences from the pinned bytes: the stderr each case now
+# writes in place of the pinned one. CSV mode echoes every seed, verify's too,
+# and argparse itself rejects a chsh call without --settings or --optimal.
+CHANGED_STDERR = {
+    "chsh-missing-settings": CHSH_USAGE + (
+        "contextprob chsh: error: one of the arguments --settings --optimal is required\n"
+    ),
+    "verify-csv": "seed: 1\n",
+    "verify-break-phase-flip-csv": "seed: 1\n",
+}
+
+
+def run_pinned(argv: list[str], tmp) -> dict:
+    """Run ``main`` on ``argv`` in ``tmp`` and return everything it wrote."""
+    root = str(tmp)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage text to the terminal width
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([arg.replace("{tmp}", root) for arg in argv])
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    out, trace = tmp / "out", tmp / "trace"
+    return {
+        "code": code,
+        "stdout": stdout.getvalue(),
+        "stderr": stderr.getvalue().replace(root, "{tmp}"),
+        "out": out.read_text(encoding="utf-8") if out.exists() else None,
+        "trace_sha256": hashlib.sha256(trace.read_bytes()).hexdigest() if trace.exists() else None,
+    }
+
+
+PINNED_PATH = Path(__file__).with_name("cli_pinned.json")
+
+
+class TestPinnedOutput:
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(PINNED_PATH.read_text(encoding="utf-8"))
+
+    def test_every_case_is_pinned(self, pinned):
+        assert set(pinned) == set(PINNED_CASES)
+
+    @pytest.mark.parametrize("case", sorted(PINNED_CASES))
+    def test_output_matches_pin(self, case, pinned, tmp_path):
+        expected = dict(pinned[case])
+        expected["stderr"] = CHANGED_STDERR.get(case, expected["stderr"])
+        assert run_pinned(PINNED_CASES[case], tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    records = {}
+    for case, argv in PINNED_CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            records[case] = run_pinned(argv, Path(tmp))
+    PINNED_PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -16,8 +16,8 @@ from contextprob import (
     classical_total_probability,
     incompatibility_coefficient,
     interference_probability,
-    is_double_stochastic,
 )
+from contextprob.core import row_sum_residuals
 
 
 def random_prior(rng):
@@ -304,16 +304,11 @@ class TestInterferenceProbability:
             assert value == pytest.approx(expected, abs=1e-15)
 
 
-class TestIsDoubleStochastic:
-    def test_symmetric_matrix_passes(self):
+class TestRowSumResiduals:
+    def test_symmetric_matrix_has_unit_rows(self):
         m = TransitionMatrix(np.array([[0.25, 0.75], [0.75, 0.25]]))
-        assert is_double_stochastic(m)
+        assert row_sum_residuals(m.entries) == 0.0
 
-    def test_column_stochastic_only_fails(self):
+    def test_column_stochastic_only_has_a_row_residual(self):
         m = TransitionMatrix(np.array([[0.2, 0.9], [0.8, 0.1]]))
-        assert not is_double_stochastic(m)
-
-    def test_tolerance_is_configurable(self):
-        m = TransitionMatrix(np.array([[0.25, 0.7500000001], [0.75, 0.2499999999]]))
-        assert is_double_stochastic(m, tol=1e-9)
-        assert not is_double_stochastic(m, tol=1e-12)
+        assert row_sum_residuals(m.entries) == pytest.approx(0.1, abs=1e-15)

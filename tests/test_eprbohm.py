@@ -9,19 +9,18 @@ from contextprob import (
     PLUS,
     AnglePair,
     BinaryDistribution,
-    ConditionalMatrixSet,
     PreconditionViolation,
     SignConvention,
     chsh,
     conditional_probabilities,
     epr_bohm_probabilities,
-    is_double_stochastic,
     matrices_from_angles,
     reconstruct_via_interference,
     setting_correlation,
     verify_phase_opposition,
     verify_selection_phase_flip,
 )
+from contextprob.core import row_sum_residuals
 
 OPTIMAL = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 
@@ -79,7 +78,7 @@ class TestMatricesFromAngles:
         for _ in range(200):
             angles = random_angles(rng)
             for m in matrices_from_angles(angles):
-                assert is_double_stochastic(m, tol=1e-12)
+                assert row_sum_residuals(m.entries) <= 1e-12
                 assert np.all(m.entries > 0.0)
 
 
@@ -152,7 +151,7 @@ class TestReconstruction:
         rng = np.random.default_rng(12)
         for _ in range(100):
             recon = reconstruct_via_interference(random_angles(rng))
-            assert is_double_stochastic(recon, tol=1e-12)
+            assert row_sum_residuals(recon.entries) <= 1e-12
 
 
 class TestPhaseOpposition:
@@ -267,17 +266,3 @@ class TestChsh:
     def test_rejects_a_difference_that_overflows(self):
         with pytest.raises(PreconditionViolation):
             chsh(1e308, 0.0, -1e308, 0.0, BinaryDistribution.uniform())
-
-
-class TestConditionalMatrixSet:
-    def test_bundle_matches_pieces(self):
-        angles = AnglePair(1.2, 0.5)
-        bundle = ConditionalMatrixSet.from_angles(angles)
-        p_ac, p_ba = matrices_from_angles(angles)
-        assert bundle.p_ac == p_ac
-        assert bundle.p_ba == p_ba
-        assert bundle.p_bc == epr_bohm_probabilities(angles)
-
-    def test_strict_positivity_fails_at_equal_angles(self):
-        assert not ConditionalMatrixSet.from_angles(AnglePair(0.4, 0.4)).strictly_positive
-        assert ConditionalMatrixSet.from_angles(AnglePair(0.5, 0.4)).strictly_positive

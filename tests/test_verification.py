@@ -17,13 +17,18 @@ from hypothesis import strategies as st
 from contextprob import (
     AnglePair,
     BinaryDistribution,
+    LhvStrategy,
+    PreconditionViolation,
+    SimConfig,
     chsh,
     conditional_probabilities,
     incompatibility_coefficient,
     matrices_from_angles,
+    lhv_baseline_chsh,
     reconstruct_via_interference,
     run_property_suite,
     setting_correlation,
+    simulate_chsh,
 )
 from contextprob import verification
 from contextprob.eprbohm import angle_matrices
@@ -227,6 +232,26 @@ class TestMatchesThePerSampleLoop:
             assert type(check.worst_residual) is float
             assert type(check.passed) is bool
             assert type(check.n_samples) is int
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True, 2**70])
+@pytest.mark.parametrize("entry", ["run_property_suite", "SimConfig", "simulate_chsh",
+                                   "lhv_baseline_chsh"])
+def test_rejects_a_seed_outside_the_64_bit_integers(seed, entry):
+    # One check, errors.require_seed, guards every seeded entry point.
+    quadruple = (0.0, 0.5, 0.25, 0.75)
+    call = {
+        "run_property_suite": lambda: run_property_suite(5, seed),
+        "SimConfig": lambda: SimConfig(AnglePair(1.0, 0.5), BinaryDistribution.uniform(),
+                                       10, seed),
+        "simulate_chsh": lambda: simulate_chsh(*quadruple, BinaryDistribution.uniform(),
+                                               10, seed),
+        "lhv_baseline_chsh": lambda: lhv_baseline_chsh(
+            *quadruple, LhvStrategy.RANDOM_LOCAL, 10, seed
+        ),
+    }[entry]
+    with pytest.raises(PreconditionViolation, match="seed must"):
+        call()
 
 
 @settings(max_examples=30, deadline=None)
