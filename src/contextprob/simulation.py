@@ -17,9 +17,11 @@ Trial ``i`` owns the four 64-bit words at counter ``i`` (one Philox block):
     word 3: uniform deciding beta
 
 Because block ``i`` is addressable directly, the trial range can be cut at
-any trial boundary without changing a single outcome. Trials are processed in
-blocks of a fixed internal size, so peak memory does not grow with the trial
-count; the block size never changes an output byte. Each word decides its
+any trial boundary without changing a single outcome. Counting runs on up to
+two threads, one per contiguous trial range, and adds their integer counts;
+trace writing stays on one thread. Trials go in blocks of a fixed internal
+size, so peak memory does not grow with the trial count; neither the block
+size nor the thread count ever changes an output byte. Each word decides its
 uniform ``u = (word >> 11) * 2**-53`` exactly as ``Generator.random`` does,
 compared as an integer. The fixed-order time mode skips words 0 and 1 but
 never re-purposes them, so switching time modes leaves the (gamma, beta)
@@ -38,6 +40,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO
@@ -48,7 +52,8 @@ from .core import BinaryDistribution
 from .eprbohm import AnglePair, conditional_probabilities
 from .errors import PreconditionViolation, require_count, require_seed
 
-_BLOCK = 1 << 16  # trials per pass of the counting loop
+_BLOCK = 1 << 16  # trials per pass of the counting loop, over all threads
+_WORKERS = min(2, len(os.sched_getaffinity(0)))  # counting threads, at most the usable cores
 _MANTISSA_SHIFT = np.uint64(11)
 _UNIT = 2.0**-53  # Generator.random() is (word >> 11) * _UNIT
 _REDRAW_COUNTER_BASE = 1 << 64
@@ -242,43 +247,45 @@ def _uniform_bits(raw: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _word_blocks(key: np.ndarray, n: int, width: int = 4, first_word: int = 0):
-    """Yield ``(lo, bits)`` for trials ``lo, lo + 1, ...`` of ``n``, ``_BLOCK`` at a time.
+def _word_blocks(key: np.ndarray, start: int, stop: int, block: int, width=4, first_word=0):
+    """Yield ``(lo, bits)`` for the trials in ``range(start, stop)``, ``block`` at a time.
 
     Row ``i`` of ``bits`` holds the ``width`` words of trial ``lo + i``, which
     start at word ``first_word + width * (lo + i)`` of the Philox stream for
     ``key``, as :func:`_uniform_bits`. With the default ``width`` of 4, trial
-    ``i`` owns exactly Philox block ``i``. The stream is read in order, so the
-    block size never changes a word.
+    ``i`` owns exactly Philox block ``i``. The stream is read in order from
+    trial ``start`` on, so neither the block size nor ``start`` changes a word.
     """
-    bitgen = np.random.Philox(key=key, counter=first_word // 4)
-    bitgen.random_raw(first_word % 4)
-    for lo in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - lo)
+    word = first_word + width * start
+    bitgen = np.random.Philox(key=key, counter=word // 4)
+    bitgen.random_raw(word % 4)
+    for lo in range(start, stop, block):
+        m = min(block, stop - lo)
         yield lo, _uniform_bits(bitgen.random_raw(width * m).reshape(m, width))
 
 
-def _tied_trials(bits: np.ndarray) -> list[int]:
-    # Rows whose two time candidates are the same double.
-    return np.flatnonzero(bits[:, 0] == bits[:, 1]).tolist()
+def _split(n: int, count):
+    # The exact integer sum of count(start, stop, block) over _WORKERS contiguous
+    # ranges of 0 .. n - 1, the first run on this thread and each other on its own,
+    # in blocks of ceil(_BLOCK / _WORKERS) trials: one block's words in flight in all.
+    workers = _WORKERS
+    results, failures = [0] * workers, []
 
+    def run(w: int) -> None:
+        try:
+            results[w] = count(n * w // workers, n * (w + 1) // workers, -(-_BLOCK // workers))
+        except BaseException as exc:  # re-raised in the caller below
+            failures.append(exc)
 
-def _resolve_equal_times(key: np.ndarray, trial_index: int) -> tuple[float, float, int]:
-    # Redraw stream for one trial, disjoint by construction from every trial
-    # block (trial counters are below 2**64).
-    gen = np.random.Generator(
-        np.random.Philox(key=key, counter=_REDRAW_COUNTER_BASE + trial_index)
-    )
-    redraws = 1  # the equality that brought us here
-    while True:
-        t1, t2 = gen.random(2)
-        if t1 != t2:
-            return float(t1), float(t2), redraws
-        redraws += 1
-
-
-def _count_redraws(key: np.ndarray, lo: int, bits: np.ndarray) -> int:
-    return sum(_resolve_equal_times(key, lo + idx)[2] for idx in _tied_trials(bits))
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return sum(results)
 
 
 def _ordered_times(
@@ -293,9 +300,15 @@ def _ordered_times(
     t1 = bits[:, 0] * _UNIT
     t2 = bits[:, 1] * _UNIT
     n_redraws = 0
-    for idx in _tied_trials(bits):
-        t1[idx], t2[idx], redraws = _resolve_equal_times(key, lo + idx)
-        n_redraws += redraws
+    for row in np.flatnonzero(t1 == t2).tolist():
+        # Redraw the tie from its own stream, disjoint from every trial block
+        # (trial counters are below 2**64), until the two doubles differ.
+        counter = _REDRAW_COUNTER_BASE + lo + row
+        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        n_redraws += 1
+        while (times := gen.random(2))[0] == times[1]:
+            n_redraws += 1
+        t1[row], t2[row] = times
     return np.minimum(t1, t2), np.maximum(t1, t2), n_redraws
 
 
@@ -328,21 +341,27 @@ def _simulate_counts(
 ) -> tuple[np.ndarray, int]:
     t_gamma = _threshold(q_plus)
     t_beta = np.array([_threshold(cond[0, 0]), _threshold(cond[0, 1])], dtype=np.uint64)
-    counts = np.zeros(4, dtype=np.int64)
-    n_redraws = 0
-    for lo, bits in _word_blocks(key, n):
-        gamma_minus = bits[:, 2] >= t_gamma
-        beta_minus = bits[:, 3] >= t_beta[gamma_minus.view(np.uint8)]
-        cells = beta_minus.view(np.uint8) << 1  # row-major index into counts
-        cells |= gamma_minus.view(np.uint8)
-        counts += np.bincount(cells, minlength=4)
-        if trial_log is not None:
-            t_sel, t_meas, redraws = _ordered_times(key, lo, bits, time_distribution)
-            _write_trial_lines(trial_log, t_sel, t_meas, gamma_minus, beta_minus)
-            n_redraws += redraws
-        elif time_distribution is TimeDistribution.UNIFORM_SQUARE:
-            n_redraws += _count_redraws(key, lo, bits)
-    return counts.reshape(2, 2), n_redraws
+
+    def count(start: int, stop: int, block: int) -> np.ndarray:
+        totals = np.zeros(5, dtype=np.int64)  # the four cells, then the redraws
+        for lo, bits in _word_blocks(key, start, stop, block):
+            gamma_minus = bits[:, 2] >= t_gamma
+            beta_minus = bits[:, 3] >= t_beta[gamma_minus.view(np.uint8)]
+            cells = beta_minus.view(np.uint8) << 1  # row-major index into the cells
+            cells |= gamma_minus.view(np.uint8)
+            totals[:4] += np.bincount(cells, minlength=4)
+            if trial_log is not None:
+                t_sel, t_meas, draws = _ordered_times(key, lo, bits, time_distribution)
+                _write_trial_lines(trial_log, t_sel, t_meas, gamma_minus, beta_minus)
+                totals[4] += draws
+            elif time_distribution is TimeDistribution.UNIFORM_SQUARE:
+                if np.any(bits[:, 0] == bits[:, 1]):  # a tie, rare: only its redraws count
+                    totals[4] += _ordered_times(key, lo, bits, time_distribution)[2]
+        return totals
+
+    # trace lines go out in trial order, from one thread
+    totals = count(0, n, _BLOCK) if trial_log is not None else _split(n, count)
+    return totals[:4].reshape(2, 2), int(totals[4])
 
 
 def run_simulation(config: SimConfig, *, trial_log: IO[str] | None = None) -> SimReport:
@@ -412,7 +431,7 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
     total_sq = 0.0
     gap_min = math.inf
     gap_max = -math.inf
-    for lo, bits in _word_blocks(key, n):
+    for lo, bits in _word_blocks(key, 0, n, _BLOCK):
         t_sel, t_meas, redraws = _ordered_times(key, lo, bits, config.time_distribution)
         n_redraws += redraws
         gaps = t_meas - t_sel
@@ -443,19 +462,21 @@ def _correlation(agree: int, n: int) -> float:
     return (2 * agree - n) / n
 
 
-def _scan(settings: tuple, n: int, seed: int, branch: int, agreements) -> float:
+def _scan(settings: tuple, n: int, seed: int, branch: int, agreements, side=float) -> float:
     # E(a,b) - E(a,b') + E(a',b) + E(a',b'), where agreements(x, y, n, key)
-    # counts the trials of one pair whose signs agree, keyed by child (branch, k)
+    # counts the trials of one pair whose signs agree, keyed by child (branch, k);
+    # x and y are side(setting), worked out once per setting before any pair runs
     settings = tuple(float(value) for value in settings)
     for name, setting in zip(("a", "a'", "b", "b'"), settings):
         if not math.isfinite(setting):
             raise PreconditionViolation(f"setting {name} must be finite, got {setting}")
     n = require_count(n, "n_per_setting")
     seed = require_seed(seed)
+    sides = [side(setting) for setting in settings]
     value = 0.0
     for k, (i, j) in enumerate(_CHSH_PAIR_ORDER):
         key = _philox_key(_child_seed(seed, branch, k))
-        value += _CHSH_SIGNS[k] * _correlation(agreements(settings[i], settings[j], n, key), n)
+        value += _CHSH_SIGNS[k] * _correlation(agreements(sides[i], sides[j], n, key), n)
     return value
 
 
@@ -508,25 +529,35 @@ def _sign_flips(x: float) -> tuple[bool, list[int]]:
     return start, (lo + np.uint64(1)).tolist()
 
 
-def _sign_agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
+def _sign_agreements(x: tuple, y: tuple, n: int, key: np.ndarray) -> int:
     # A side's sign at word k is its sign at word 0, flipped by each of its
-    # thresholds at or below k, so the sides agree where k has passed an even
-    # number of the merged thresholds, unless they start apart.
-    (start_x, flips_x), (start_y, flips_y) = _sign_flips(x), _sign_flips(y)
+    # thresholds at or below k (x, y are _sign_flips), so the sides agree where
+    # k has passed an even number of the merged thresholds, unless they start apart.
+    (start_x, flips_x), (start_y, flips_y) = x, y
     flips = sorted(flips_x + flips_y)
-    even = n  # n - passed(1st) + passed(2nd) - ...
-    for _, bits in _word_blocks(key, n, width=1):
-        for i, t in enumerate(flips):
-            passed = int(np.count_nonzero(bits >= t))
-            even += passed if i % 2 else -passed
+
+    def count(start: int, stop: int, block: int) -> int:
+        even = stop - start  # trials - passed(1st) + passed(2nd) - ...
+        for _, bits in _word_blocks(key, start, stop, block, width=1):
+            for i, t in enumerate(flips):
+                passed = int(np.count_nonzero(bits >= t))
+                even += passed if i % 2 else -passed
+        return even
+
+    even = _split(n, count)
     return even if start_x == start_y else n - even
 
 
 def _coin_agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
     # side a reads words 0 .. n-1, side b words n .. 2n-1
     half = _threshold(0.5)
-    sides = zip(_word_blocks(key, n, width=1), _word_blocks(key, n, width=1, first_word=n))
-    return sum(int(np.count_nonzero((a >= half) == (b >= half))) for (_, a), (_, b) in sides)
+
+    def count(start: int, stop: int, block: int) -> int:
+        sides = zip(_word_blocks(key, start, stop, block, width=1),
+                    _word_blocks(key, start, stop, block, width=1, first_word=n))
+        return sum(int(np.count_nonzero((a >= half) == (b >= half))) for (_, a), (_, b) in sides)
+
+    return _split(n, count)
 
 
 def lhv_baseline_chsh(
@@ -545,13 +576,13 @@ def lhv_baseline_chsh(
     its setting minus that angle; the single-pair correlation then depends
     only on the effective setting separation and the combination cannot leave
     [-2, 2]. Each sign is decided by integer thresholds on the hidden angle's
-    word, found once per setting pair, bit-identical to the cosine sign.
+    word, found once per setting, bit-identical to the cosine sign.
     ``RANDOM_LOCAL`` replaces both outputs by independent fair signs, so every
     correlation estimates 0. Child seeds per setting pair are drawn from a
     branch disjoint from :func:`simulate_chsh`.
     """
     if not isinstance(strategy, LhvStrategy):
         raise PreconditionViolation(f"strategy must be an LhvStrategy, got {strategy!r}")
-    deterministic = strategy is LhvStrategy.DETERMINISTIC_SIGN
-    agreements = _sign_agreements if deterministic else _coin_agreements
-    return _scan((a, a_prime, b, b_prime), n_per_setting, seed, 1, agreements)
+    sign = strategy is LhvStrategy.DETERMINISTIC_SIGN
+    agreements, side = (_sign_agreements, _sign_flips) if sign else (_coin_agreements, float)
+    return _scan((a, a_prime, b, b_prime), n_per_setting, seed, 1, agreements, side)

@@ -1,7 +1,14 @@
 import io
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,17 +407,69 @@ class TestCountingKernel:
             [[w, w ^ 0x7FF, 0, 0], [w, w ^ 0x800, 0, 0], [w, w, 0, 0]], dtype=np.uint64
         )
         bits = simulation._uniform_bits(raw)
-        # the first and last rows are equal doubles, the middle one is not
-        assert simulation._tied_trials(bits) == [0, 2]
         key = simulation._philox_key(1)
         t_sel, t_meas, redraws = simulation._ordered_times(
             key, 10, bits, TimeDistribution.UNIFORM_SQUARE
         )
-        assert redraws == simulation._count_redraws(key, 10, bits) >= 2
+        # the first and last rows are equal doubles, the middle one is not
+        own = (w >> 11) * 2.0**-53
+        assert [row for row in range(3) if own not in (t_sel[row], t_meas[row])] == [0, 2]
+
+        def redraw(row):
+            # a tied trial's own stream, above every trial counter
+            gen = np.random.Generator(np.random.Philox(key=key, counter=2**64 + 10 + row))
+            for draws in itertools.count(1):
+                t1, t2 = gen.random(2)
+                if t1 != t2:
+                    return sorted((t1, t2)), draws
+
+        (ends_0, draws_0), (ends_2, draws_2) = redraw(0), redraw(2)
+        assert redraws == draws_0 + draws_2 >= 2
+        assert [t_sel[0], t_meas[0]] == ends_0 and [t_sel[2], t_meas[2]] == ends_2
         assert np.all(t_sel < t_meas)
         # an untied row keeps its own words' doubles
         ends = sorted(((w >> 11) * 2.0**-53, ((w ^ 0x800) >> 11) * 2.0**-53))
         assert [t_sel[1], t_meas[1]] == ends
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forced_ties_count_the_same_redraws_with_and_without_a_trace(
+        self, monkeypatch, workers
+    ):
+        uniform_bits = simulation._uniform_bits
+
+        def tie_by_gamma_word(raw):
+            # ties follow a trial's own words, not where its block starts
+            bits = uniform_bits(raw)
+            if bits.shape[1] == 4:
+                tied = bits[:, 2] % 7 == 0
+                bits[tied, 1] = bits[tied, 0]
+            return bits
+
+        monkeypatch.setattr(simulation, "_uniform_bits", tie_by_gamma_word)
+        monkeypatch.setattr(simulation, "_BLOCK", 64)
+        monkeypatch.setattr(simulation, "_WORKERS", workers)
+        traced = run_simulation(config(n=3_000, seed=4), trial_log=io.StringIO())
+        untraced = run_simulation(config(n=3_000, seed=4))
+        assert untraced.to_json() == traced.to_json()
+        assert untraced.n_redraws > 300
+
+    @pytest.mark.parametrize("angles", SETTINGS_OF_EVERY_MAGNITUDE)
+    def test_sign_flips_are_searched_once_per_setting(self, monkeypatch, angles):
+        sign_flips, calls = simulation._sign_flips, []
+
+        def counted(x):
+            calls.append(x)
+            return sign_flips(x)
+
+        monkeypatch.setattr(simulation, "_sign_flips", counted)
+        strategy = LhvStrategy.DETERMINISTIC_SIGN
+        s = lhv_baseline_chsh(*angles, strategy, 1_003, 77)
+        assert s == reference_baseline(angles, strategy, 1_003, 77)
+        # one search per setting, in setting order, -0.0 kept apart from 0.0
+        assert len(calls) == 4
+        assert [(x, math.copysign(1.0, x)) for x in calls] == [
+            (x, math.copysign(1.0, x)) for x in angles
+        ]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 1_003])
     @pytest.mark.parametrize("block", [None, 1, 3, 64])
@@ -430,10 +489,27 @@ class TestCountingKernel:
 @given(
     n=st.integers(1, 2_000),
     block=st.integers(1, 2_048),
+    workers=st.sampled_from([1, 2, 3]),
     seed=st.integers(0, 2**64 - 1),
     mode=st.sampled_from(TimeDistribution),
 )
-def test_block_size_never_changes_an_output_byte(n, block, seed, mode):
+# n below, at and just above one worker's block of ceil(block / workers) trials,
+# and below, at and just above one such block for every worker
+@example(n=49, block=100, workers=2, seed=5, mode=TimeDistribution.UNIFORM_SQUARE)
+@example(n=50, block=100, workers=2, seed=5, mode=TimeDistribution.UNIFORM_SQUARE)
+@example(n=51, block=100, workers=2, seed=5, mode=TimeDistribution.FIXED_ORDER)
+@example(n=99, block=100, workers=2, seed=5, mode=TimeDistribution.UNIFORM_SQUARE)
+@example(n=100, block=100, workers=2, seed=5, mode=TimeDistribution.FIXED_ORDER)
+@example(n=101, block=100, workers=2, seed=5, mode=TimeDistribution.UNIFORM_SQUARE)
+@example(n=33, block=100, workers=3, seed=9, mode=TimeDistribution.UNIFORM_SQUARE)
+@example(n=34, block=100, workers=3, seed=9, mode=TimeDistribution.UNIFORM_SQUARE)
+@example(n=35, block=100, workers=3, seed=9, mode=TimeDistribution.FIXED_ORDER)
+@example(n=101, block=100, workers=3, seed=9, mode=TimeDistribution.UNIFORM_SQUARE)
+@example(n=102, block=100, workers=3, seed=9, mode=TimeDistribution.FIXED_ORDER)
+@example(n=103, block=100, workers=3, seed=9, mode=TimeDistribution.UNIFORM_SQUARE)
+@example(n=1, block=1, workers=3, seed=0, mode=TimeDistribution.UNIFORM_SQUARE)
+def test_block_size_never_changes_an_output_byte(n, block, workers, seed, mode):
+    # nor does the number of threads the trial range is cut between
     def outputs():
         log = io.StringIO()
         report = run_simulation(config(n=n, seed=seed, mode=mode), trial_log=log)
@@ -444,9 +520,11 @@ def test_block_size_never_changes_an_output_byte(n, block, seed, mode):
             *(lhv_baseline_chsh(*OPTIMAL, strategy, n, seed) for strategy in LhvStrategy),
         )
 
-    reference = outputs()
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_WORKERS", 1)
+        reference = outputs()
         mp.setattr(simulation, "_BLOCK", block)
+        mp.setattr(simulation, "_WORKERS", workers)
         assert outputs() == reference
 
 
@@ -491,3 +569,84 @@ def test_sign_thresholds_equal_the_cosine_sign_next_to_every_flip(x):
     cosine = np.cos(x - words * 2.0**-53 * (2.0 * math.pi)) >= 0.0
     passed = np.searchsorted(np.array(flips, dtype=np.uint64), words, side="right")
     np.testing.assert_array_equal(start ^ (passed % 2 == 1), cosine)
+
+
+# ---------------------------------------------------------------- threads
+
+
+class Boom(Exception):
+    pass
+
+
+class TestCountingThreads:
+    def test_workers_never_exceed_the_usable_cores(self):
+        assert 1 <= simulation._WORKERS <= min(2, len(os.sched_getaffinity(0)))
+
+    @pytest.mark.parametrize("failing_range", [0, 1, 2])
+    def test_an_exception_in_any_range_reaches_the_caller(self, monkeypatch, failing_range):
+        monkeypatch.setattr(simulation, "_WORKERS", 3)
+        threads = []
+
+        def count(start, stop, block):
+            threads.append(threading.current_thread())
+            if start == 300 * failing_range:
+                raise Boom(f"range {failing_range}")
+            return stop - start
+
+        with pytest.raises(Boom, match=f"range {failing_range}"):
+            simulation._split(900, count)
+        helpers = [t for t in threads if t is not threading.current_thread()]
+        assert len(helpers) == 2
+        for thread in helpers:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    def test_ranges_cover_the_trials_once_in_blocks_of_the_worker_share(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_WORKERS", 3)
+        monkeypatch.setattr(simulation, "_BLOCK", 10)
+        ranges = []
+
+        def count(start, stop, block):
+            ranges.append((start, stop, block))
+            return np.array([stop - start, 1])
+
+        assert simulation._split(1_000, count).tolist() == [1_000, 3]
+        assert sorted(ranges) == [(0, 333, 4), (333, 666, 4), (666, 1_000, 4)]
+
+    def test_more_workers_than_cores_under_fast_switching_keep_the_counts(self, monkeypatch):
+        def outputs(seed):
+            report = run_simulation(config(n=2_000, seed=seed))
+            return (
+                report.to_json(),
+                simulate_chsh(*OPTIMAL, BinaryDistribution.uniform(), 500, seed),
+                *(lhv_baseline_chsh(*OPTIMAL, strategy, 500, seed) for strategy in LhvStrategy),
+            )
+
+        seeds = range(4)
+        monkeypatch.setattr(simulation, "_WORKERS", 1)
+        expected = [outputs(seed) for seed in seeds]
+        monkeypatch.setattr(simulation, "_WORKERS", 3)
+        monkeypatch.setattr(simulation, "_BLOCK", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 3.0
+            for _ in range(20):
+                assert [outputs(seed) for seed in seeds] == expected
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_importing_the_cli_starts_no_thread(self):
+        code = (
+            "import sys, threading; import contextprob.cli; "
+            "assert threading.active_count() == 1, threading.enumerate(); "
+            "assert 'concurrent.futures' not in sys.modules"
+        )
+        src = str(Path(simulation.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
