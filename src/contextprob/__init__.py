@@ -49,7 +49,6 @@ from .simulation import (
     SimReport,
     TimeDistribution,
     TimeOrderStats,
-    TrialRecord,
     lhv_baseline_chsh,
     run_simulation,
     simulate_chsh,
@@ -83,7 +82,6 @@ __all__ = [
     "TimeDistribution",
     "TimeOrderStats",
     "TransitionMatrix",
-    "TrialRecord",
     "chsh",
     "classical_total_probability",
     "conditional_probabilities",

@@ -17,8 +17,8 @@ stdout stays pure CSV.
 
 Exit codes: 0 on success, 1 when a verified property fails, 2 on invalid
 usage or input validation errors, including an ``--out`` or ``--trace`` path
-that cannot be opened. Output files are opened before any computation, as a
-shell redirection would open them.
+that cannot be opened and the two naming one file. Output files are opened
+before any computation, as a shell redirection would open them.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -235,7 +236,7 @@ def _cmd_epr(args: argparse.Namespace) -> _Output:
     inputs = {
         "xi": angles.xi,
         "eta": angles.eta,
-        "signs": signs.to_dict(),
+        "signs": asdict(signs),
         "marginal_p_plus": marginal.p_plus,
     }
     results = {
@@ -277,7 +278,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
 
     inputs = {"samples": args.samples, "break_phase_flip": args.break_phase_flip}
     results = {
-        "checks": [check.to_dict() for check in checks],
+        "checks": [asdict(check) for check in checks],
         "all_passed": all_passed,
     }
     rows = [["property", "samples", "worst_residual", "status"]]
@@ -504,6 +505,10 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot open output file: {exc}", file=sys.stderr)
             return 2
+        if args.out and (trace := getattr(args, "trace", None)):
+            if os.path.samestat(os.fstat(args.out.fileno()), os.fstat(trace.fileno())):
+                print("error: --out and --trace name the same file", file=sys.stderr)
+                return 2
         try:
             output = args.handler(args)
         except ContextualProbabilityError as exc:

@@ -97,13 +97,6 @@ class BinaryDistribution:
     def prob(self, outcome: int) -> float:
         return (self.p_plus, self.p_minus)[_outcome_index(outcome)]
 
-    def to_dict(self) -> dict:
-        return {"p_plus": self.p_plus, "p_minus": self.p_minus}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BinaryDistribution":
-        return cls(data["p_plus"], data["p_minus"])
-
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
@@ -142,13 +135,6 @@ class TransitionMatrix:
         """The result distribution for one fixed condition."""
         j = _outcome_index(condition)
         return BinaryDistribution(float(self.entries[0, j]), float(self.entries[1, j]))
-
-    def to_dict(self) -> dict:
-        return {"entries": self.entries.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransitionMatrix":
-        return cls(np.array(data["entries"], dtype=float))
 
 
 class Regime(Enum):

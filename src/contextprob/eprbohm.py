@@ -71,9 +71,6 @@ class AnglePair:
     def delta(self) -> float:
         return self.xi - self.eta
 
-    def to_dict(self) -> dict:
-        return {"xi": self.xi, "eta": self.eta}
-
 
 @dataclass(frozen=True)
 class SignConvention:
@@ -102,12 +99,6 @@ class SignConvention:
 
     def flipped(self) -> "SignConvention":
         return SignConvention(-self.cos_theta_plus, -self.cos_theta_minus)
-
-    def to_dict(self) -> dict:
-        return {
-            "cos_theta_plus": self.cos_theta_plus,
-            "cos_theta_minus": self.cos_theta_minus,
-        }
 
 
 DEFAULT_SIGNS = SignConvention(-1.0, 1.0)

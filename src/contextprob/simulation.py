@@ -42,7 +42,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import IO
 
@@ -92,43 +92,7 @@ class SimConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "angles": self.angles.to_dict(),
-            "marginal_c": self.marginal_c.to_dict(),
-            "n_pairs": self.n_pairs,
-            "seed": self.seed,
-            "time_distribution": self.time_distribution.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimConfig":
-        return cls(
-            angles=AnglePair(**data["angles"]),
-            marginal_c=BinaryDistribution.from_dict(data["marginal_c"]),
-            n_pairs=data["n_pairs"],
-            seed=data["seed"],
-            time_distribution=TimeDistribution(data["time_distribution"]),
-        )
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One logged trial. Selection strictly precedes measurement."""
-
-    t_selection: float
-    t_measurement: float
-    gamma: int
-    beta: int
-
-    def __post_init__(self) -> None:
-        if not self.t_selection < self.t_measurement:
-            raise PreconditionViolation(
-                "t_selection must be strictly less than t_measurement, "
-                f"got {self.t_selection!r} >= {self.t_measurement!r}"
-            )
-        for name, value in (("gamma", self.gamma), ("beta", self.beta)):
-            if value not in (1, -1):
-                raise PreconditionViolation(f"{name} must be +1 or -1, got {value!r}")
+        return {**asdict(self), "time_distribution": self.time_distribution.value}
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,22 +145,6 @@ class SimReport:
             "n_redraws": self.n_redraws,
             "wall_config": self.wall_config.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimReport":
-        def arr(rows: list) -> np.ndarray:
-            return np.array(
-                [[math.nan if v is None else v for v in row] for row in rows], dtype=float
-            )
-
-        return cls(
-            counts=np.array(data["counts"], dtype=np.int64),
-            estimated_conditionals=arr(data["estimated_conditionals"]),
-            estimated_correlation=data["estimated_correlation"],
-            std_errors=arr(data["std_errors"]),
-            n_redraws=data["n_redraws"],
-            wall_config=SimConfig.from_dict(data["wall_config"]),
-        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -319,8 +267,9 @@ def _write_trial_lines(
     gamma_minus: np.ndarray,
     beta_minus: np.ndarray,
 ) -> None:
-    # The bytes json.dumps(asdict(TrialRecord(...))) gives: json writes a
-    # float as its repr. Lines are streamed, never held as one block's text.
+    # One JSON object per line with keys t_selection, t_measurement, gamma,
+    # beta in that order, the bytes json.dumps gives: it writes a float as its
+    # repr. Lines are streamed, never held as one block's text.
     sign = (1, -1)
     stream.writelines(
         f'{{"t_selection": {a!r}, "t_measurement": {b!r}, '

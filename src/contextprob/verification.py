@@ -71,14 +71,6 @@ class PropertyCheck:
         object.__setattr__(self, "worst_residual", float(self.worst_residual))
         object.__setattr__(self, "passed", bool(self.passed))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_samples": self.n_samples,
-            "worst_residual": self.worst_residual,
-            "passed": self.passed,
-        }
-
 
 def _sweep(rng: np.random.Generator, n_samples: int, block_check, *args) -> tuple[float, bool]:
     # ``block_check(rng, size, *args)`` draws ``size`` samples and returns the

@@ -5,12 +5,26 @@ import io
 import json
 import math
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from contextprob import cli, simulation
+from contextprob import (
+    AnglePair,
+    BinaryDistribution,
+    LhvStrategy,
+    SimConfig,
+    TimeDistribution,
+    cli,
+    conditional_probabilities,
+    run_simulation,
+    setting_correlation,
+    simulation,
+)
 from contextprob.cli import main
 
 OPTIMAL_ARGS = ["--settings", "0,0.7853981633974483,0.39269908169872414,1.1780972450961724"]
@@ -338,6 +352,33 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(target) in err
 
+    @pytest.mark.parametrize("alias", ["same-path", "symlink", "hard-link"])
+    def test_out_and_trace_on_one_file_exit_two_before_computing(
+        self, capsys, tmp_path, monkeypatch, alias
+    ):
+        # Each stream has its own offset, so writing both would overwrite the
+        # start of the trace with the report.
+        def not_reached(*args, **kwargs):
+            raise AssertionError("computed with --out and --trace on one file")
+
+        monkeypatch.setattr(cli, "run_simulation", not_reached)
+        out = tmp_path / "report"
+        trace = tmp_path / "trace"
+        if alias == "same-path":
+            trace = out
+        elif alias == "symlink":
+            trace.symlink_to(out)
+        else:
+            out.touch()
+            os.link(out, trace)
+        code, stdout, err = run(
+            capsys, *self.BASE, "--n", "10", "--seed", "1", "--format", "json",
+            "--out", str(out), "--trace", str(trace),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: --out and --trace name the same file\n"
+
     def test_degenerate_marginal_serializes_null_cells(self, capsys):
         code, out, _ = run(
             capsys, *self.BASE, "--n", "50", "--seed", "3", "--marginal", "1.0",
@@ -579,6 +620,151 @@ class TestPinnedOutput:
         expected = dict(pinned[case])
         expected["stderr"] = CHANGED_STDERR.get(case, expected["stderr"])
         assert run_pinned(PINNED_CASES[case], tmp_path) == expected
+
+
+# ---------------------------------------------------------------- contract properties
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    # The argv below name no output file, so one directory serves every example.
+    return tmp_path_factory.mktemp("argv")
+
+
+class TestSimulateJsonRoundTrip:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 2_000),
+        seed=st.integers(0, 2**64 - 1),
+        xi=st.floats(0.0, math.pi / 2.0, exclude_min=True, exclude_max=True),
+        eta=st.floats(0.0, math.pi / 2.0, exclude_min=True, exclude_max=True),
+        q=st.floats(0.0, 1.0),
+        mode=st.sampled_from(list(TimeDistribution)),
+    )
+    @example(n=40, seed=3, xi=1.0, eta=0.5, q=0.0, mode=TimeDistribution.UNIFORM_SQUARE)
+    @example(n=40, seed=3, xi=1.0, eta=0.5, q=1.0, mode=TimeDistribution.FIXED_ORDER)
+    def test_parsed_json_equals_to_dict(self, argv_dir, n, seed, xi, eta, q, mode):
+        config = SimConfig(AnglePair(xi, eta), BinaryDistribution.from_p_plus(q), n, seed, mode)
+        report = run_simulation(config)
+        expected = report.to_dict()
+        for name in ("estimated_conditionals", "std_errors"):  # NaN is written as null
+            nulls = [[value is None for value in row] for row in expected[name]]
+            assert nulls == np.isnan(getattr(report, name)).tolist()
+        assert json.loads(report.to_json()) == expected
+
+        ran = run_pinned(
+            ["simulate", "--xi", repr(xi), "--eta", repr(eta), "--marginal", repr(q),
+             "--n", str(n), "--seed", str(seed), "--time-dist", mode.value, "--format", "json"],
+            argv_dir,
+        )
+        assert ran["code"] == 0
+        assert json.loads(ran["stdout"])["results"] == {
+            **expected,
+            "analytic_conditionals": conditional_probabilities(xi - eta).tolist(),
+            "analytic_correlation": setting_correlation(xi - eta, config.marginal_c),
+        }
+
+
+# Each value is drawn half the time from ordinary tokens and half from tokens
+# chosen to break parsing or validation: non-finite and signed-zero floats,
+# the smallest subnormal, near-overflow values, 2**64 written both ways, empty
+# fields and words. Valid counts stay small so every run is quick.
+FLOATS = st.one_of(
+    st.sampled_from(["0.3", "0.5", "1", "0.7853981633974483", "45"]),
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "5e-324", "1e308", "-1e308", "1.5",
+                     "1.5707963267948966", "", "2**64", "x"]),
+)
+FOUR_FLOATS = st.one_of(  # column-stochastic matrices, and wrong comma counts too
+    st.sampled_from(["0.2,0.9,0.8,0.1", "0.5,0.5,0.5,0.5", "1,0,0,1"]),
+    st.lists(FLOATS, min_size=1, max_size=5).map(",".join),
+)
+COUNTS = st.one_of(
+    st.sampled_from(["1", "3", "17"]),
+    st.sampled_from(["0", "-1", "", "2**64", "1e308", "nan"]),
+)
+SEEDS = st.one_of(
+    st.sampled_from(["0", "7", str((1 << 64) - 1)]),
+    st.sampled_from([str(1 << 64), "-1", "", "2**64", "-0.0"]),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    def maybe(flag, values):
+        return [flag, draw(values)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["lambda", "epr", "verify", "simulate", "chsh"]))
+    argv = [command]
+    if command == "lambda":
+        argv += ["--observed", draw(FLOATS), "--prior", draw(FLOATS)]
+        argv += ["--matrix", draw(FOUR_FLOATS)]
+        argv += maybe("--beta", st.sampled_from(["+", "-", "+1", "-1"]))
+        return argv
+    if command == "verify":
+        argv += ["--samples", draw(COUNTS), "--seed", draw(SEEDS)]
+        return argv + draw(st.sampled_from([[], ["--break-phase-flip"]]))
+    if command == "chsh":
+        argv += ["--optimal"] if draw(st.booleans()) else ["--settings", draw(FOUR_FLOATS)]
+        argv += maybe("--baseline", st.sampled_from([s.value for s in LhvStrategy]))
+    else:
+        argv += ["--xi", draw(FLOATS), "--eta", draw(FLOATS)]
+    if command == "epr":
+        argv += draw(st.sampled_from([[], ["--flip-signs"]]))
+    else:
+        argv += ["--n", draw(COUNTS), "--seed", draw(SEEDS)]
+    if command == "simulate":
+        argv += maybe("--time-dist", st.sampled_from([t.value for t in TimeDistribution]))
+    return argv + maybe("--marginal", FLOATS) + maybe("--unit", st.sampled_from(["rad", "deg"]))
+
+
+def _numbers(value):
+    # Every int, float and null in a parsed JSON value, booleans excluded.
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [number for item in value for number in _numbers(item)]
+    if value is None or isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [value]
+    return []
+
+
+def _float_cells(text):
+    # Every CSV cell below the header that parses as a float; a NaN cell
+    # stands for the null JSON writes in its place.
+    cells = []
+    for row in list(csv.reader(io.StringIO(text)))[1:]:
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            cells.append(None if math.isnan(value) else value)
+    return cells
+
+
+class TestCliContract:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=cli_argv())
+    @example(argv=["lambda", "--observed", "0.3", "--prior", "5e-324", "--matrix", "1,0,0,1"])
+    @example(argv=["epr", "--xi", "45", "--eta", "1", "--unit", "deg", "--marginal", "-0.0"])
+    @example(argv=["verify", "--samples", "3", "--seed", "0", "--break-phase-flip"])
+    @example(argv=["simulate", "--xi", "1", "--eta", "0.3", "--n", "17", "--seed", "7",
+                   "--marginal", "1"])
+    @example(argv=["chsh", "--settings", "5e-324,1e308,-0.0,45", "--n", "3",
+                   "--seed", "18446744073709551615", "--baseline", "deterministic-sign"])
+    def test_every_argv_gets_a_result_or_exit_two(self, argv_dir, argv):
+        runs = {fmt: run_pinned([*argv, "--format", fmt], argv_dir)
+                for fmt in ("table", "json", "csv")}
+        codes = {ran["code"] for ran in runs.values()}
+        assert len(codes) == 1  # the format never changes the outcome
+        code = codes.pop()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert all(ran["stdout"] == "" for ran in runs.values())
+            return
+        results = json.loads(runs["json"]["stdout"])["results"]
+        assert (code == 1) == (argv[0] == "verify" and results["all_passed"] is False)
+        assert Counter(_float_cells(runs["csv"]["stdout"])) <= Counter(_numbers(results))
 
 
 if __name__ == "__main__":

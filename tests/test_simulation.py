@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +22,7 @@ from contextprob import (
     LhvStrategy,
     PreconditionViolation,
     SimConfig,
-    SimReport,
     TimeDistribution,
-    TrialRecord,
     conditional_probabilities,
     lhv_baseline_chsh,
     run_simulation,
@@ -69,22 +66,6 @@ class TestSimConfig:
             config(seed=1 << 64)
         with pytest.raises(PreconditionViolation):
             config(seed=-1)
-
-    def test_dict_round_trip(self):
-        cfg = config(n=77, seed=123, mode=TimeDistribution.FIXED_ORDER)
-        assert SimConfig.from_dict(cfg.to_dict()) == cfg
-
-
-class TestTrialRecord:
-    def test_requires_strict_time_order(self):
-        with pytest.raises(PreconditionViolation):
-            TrialRecord(t_selection=0.5, t_measurement=0.5, gamma=1, beta=1)
-        with pytest.raises(PreconditionViolation):
-            TrialRecord(t_selection=0.9, t_measurement=0.1, gamma=1, beta=1)
-
-    def test_requires_sign_outcomes(self):
-        with pytest.raises(PreconditionViolation):
-            TrialRecord(t_selection=0.1, t_measurement=0.9, gamma=0, beta=1)
 
 
 class TestRunSimulation:
@@ -157,12 +138,6 @@ class TestRunSimulation:
         report = run_simulation(config(n=100, q=1.0))
         data = json.loads(report.to_json())
         assert data["estimated_conditionals"][0][1] is None
-        rebuilt = SimReport.from_dict(data)
-        assert rebuilt.to_json() == report.to_json()
-
-    def test_report_dict_round_trip(self):
-        report = run_simulation(config(n=999, seed=8, q=0.25))
-        assert SimReport.from_dict(json.loads(report.to_json())).to_json() == report.to_json()
 
     def test_trial_log_replays_the_counts(self):
         buffer = io.StringIO()
@@ -172,8 +147,9 @@ class TestRunSimulation:
         counts = np.zeros((2, 2), dtype=int)
         for line in lines:
             rec = json.loads(line)
-            TrialRecord(**rec)  # validates ordering and signs
+            assert list(rec) == ["t_selection", "t_measurement", "gamma", "beta"]
             assert 0.0 <= rec["t_selection"] < rec["t_measurement"] <= 1.0
+            assert rec["gamma"] in (1, -1) and rec["beta"] in (1, -1)
             counts[(1 - rec["beta"]) // 2, (1 - rec["gamma"]) // 2] += 1
         np.testing.assert_array_equal(counts, report.counts)
 
@@ -340,7 +316,8 @@ def reference_run(cfg):
         assert np.all(u[:, 0] != u[:, 1])  # no redraws at test sizes
         t_sel, t_meas = np.minimum(u[:, 0], u[:, 1]), np.maximum(u[:, 0], u[:, 1])
     log = "".join(
-        json.dumps(asdict(TrialRecord(float(a), float(b), int(g), int(h)))) + "\n"
+        json.dumps({"t_selection": float(a), "t_measurement": float(b),
+                    "gamma": int(g), "beta": int(h)}) + "\n"
         for a, b, g, h in zip(t_sel, t_meas, gamma, beta)
     )
     return counts, log

@@ -8,6 +8,7 @@ report byte for byte, whatever the block size.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ def reference_suite(n, seed, tol=1e-12):
 
 def suite_json(n, seed, break_phase_flip=False):
     return json.dumps(
-        [check.to_dict() for check in run_property_suite(n, seed, break_phase_flip=break_phase_flip)]
+        [asdict(check) for check in run_property_suite(n, seed, break_phase_flip=break_phase_flip)]
     )
 
 
