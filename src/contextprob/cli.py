@@ -17,8 +17,9 @@ stdout stays pure CSV.
 
 Exit codes: 0 on success, 1 when a verified property fails, 2 on invalid
 usage or input validation errors, including an ``--out`` or ``--trace`` path
-that cannot be opened and the two naming one file. Output files are opened
-before any computation, as a shell redirection would open them.
+that cannot be opened, the two naming one file, and output (stdout or either
+file) that cannot be written. Output files are opened before any computation,
+as a shell redirection would open them.
 """
 
 from __future__ import annotations
@@ -472,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chsh = sub.add_parser("chsh", help="four-setting correlation scan")
     p_settings = p_chsh.add_mutually_exclusive_group(required=True)
     p_settings.add_argument("--settings", type=_four_floats,
-                            help="comma-separated a,a',b,b'")
+                            help="comma-separated a,a',b,b'; a list starting with a "
+                                 "negative value needs the --settings=-0.5,0,0.3,0.9 form")
     p_settings.add_argument("--optimal", action="store_true",
                             help="use settings 0, pi/4, pi/8, 3 pi/8 (radians)")
     p_chsh.add_argument("--unit", choices=("rad", "deg"), default="rad",
@@ -497,33 +499,39 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has already written its message
         return int(exc.code or 0)
-    with ExitStack() as files:
-        try:  # replace the --out and --trace paths on ``args`` with open files
-            for name in ("out", "trace"):
-                if path := getattr(args, name, None):
-                    setattr(args, name, files.enter_context(open(path, "w", encoding="utf-8")))
-        except OSError as exc:
-            print(f"error: cannot open output file: {exc}", file=sys.stderr)
-            return 2
-        if args.out and (trace := getattr(args, "trace", None)):
-            if os.path.samestat(os.fstat(args.out.fileno()), os.fstat(trace.fileno())):
-                print("error: --out and --trace name the same file", file=sys.stderr)
+    try:  # a write, flush or close that fails, on stdout or a file, exits 2 too
+        with ExitStack() as files:
+            try:  # replace the --out and --trace paths on ``args`` with open files
+                for name in ("out", "trace"):
+                    if path := getattr(args, name, None):
+                        setattr(args, name, files.enter_context(open(path, "w", encoding="utf-8")))
+            except OSError as exc:
+                print(f"error: cannot open output file: {exc}", file=sys.stderr)
                 return 2
-        try:
-            output = args.handler(args)
-        except ContextualProbabilityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.format == "json":
-            text = _json_text(args.command, output.inputs, output.results, output.seed)
-        elif args.format == "csv":
-            text = _csv_text(output.rows)
-            if output.seed is not None:
-                print(f"seed: {output.seed}", file=sys.stderr)
-        else:
-            text = "\n".join(output.lines) + "\n"
-        (args.out or sys.stdout).write(text)
-        return output.status
+            if args.out and (trace := getattr(args, "trace", None)):
+                if os.path.samestat(os.fstat(args.out.fileno()), os.fstat(trace.fileno())):
+                    print("error: --out and --trace name the same file", file=sys.stderr)
+                    return 2
+            try:
+                output = args.handler(args)
+            except ContextualProbabilityError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            if args.format == "json":
+                text = _json_text(args.command, output.inputs, output.results, output.seed)
+            elif args.format == "csv":
+                text = _csv_text(output.rows)
+                if output.seed is not None:
+                    print(f"seed: {output.seed}", file=sys.stderr)
+            else:
+                text = "\n".join(output.lines) + "\n"
+            stream = args.out or sys.stdout
+            stream.write(text)
+            stream.flush()
+            return output.status
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

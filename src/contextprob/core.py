@@ -21,7 +21,7 @@ batched sweep and a single call evaluate the same arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -150,30 +150,27 @@ class InterferenceCoefficient:
     """Result of :func:`incompatibility_coefficient`.
 
     ``lam`` is the coefficient itself (None when the normalizing denominator
-    vanishes), ``theta`` its arccosine in [0, pi] (present only in the
-    trigonometric regime).
+    vanishes; a NaN is stored as None). ``regime`` and ``theta`` follow from
+    it: trigonometric with ``theta = arccos(lam)`` in [0, pi] when
+    ``|lam| <= 1``, hyperbolic with no ``theta`` otherwise, and degenerate
+    with neither when there is no ``lam``.
     """
 
     lam: float | None
-    regime: Regime
-    theta: float | None
+    regime: Regime = field(init=False)
+    theta: float | None = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.regime is Regime.DEGENERATE_DENOMINATOR:
-            if self.lam is not None or self.theta is not None:
-                raise PreconditionViolation(
-                    "degenerate coefficient carries neither lambda nor theta"
-                )
-        elif self.regime is Regime.TRIGONOMETRIC:
-            if self.lam is None or self.theta is None:
-                raise PreconditionViolation(
-                    "trigonometric coefficient requires lambda and theta"
-                )
+        lam = None if self.lam is None or math.isnan(self.lam) else self.lam
+        if lam is None:
+            regime, theta = Regime.DEGENERATE_DENOMINATOR, None
+        elif abs(lam) <= 1.0:
+            regime, theta = Regime.TRIGONOMETRIC, math.acos(lam)
         else:
-            if self.lam is None or self.theta is not None:
-                raise PreconditionViolation(
-                    "hyperbolic coefficient requires lambda and no theta"
-                )
+            regime, theta = Regime.HYPERBOLIC, None
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "theta", theta)
 
     def to_dict(self) -> dict:
         return {
@@ -319,12 +316,9 @@ def incompatibility_coefficient(
     OutOfRangeProbability
         If ``observed`` is outside [0, 1].
     """
-    lam = float(coefficient_values(observed, *_four_factors(prior, transition, beta)))
-    if math.isnan(lam):
-        return InterferenceCoefficient(None, Regime.DEGENERATE_DENOMINATOR, None)
-    if abs(lam) <= 1.0:
-        return InterferenceCoefficient(lam, Regime.TRIGONOMETRIC, math.acos(lam))
-    return InterferenceCoefficient(lam, Regime.HYPERBOLIC, None)
+    return InterferenceCoefficient(
+        float(coefficient_values(observed, *_four_factors(prior, transition, beta)))
+    )
 
 
 def interference_values(p_plus, t_plus, p_minus, t_minus, theta) -> np.ndarray:

@@ -198,14 +198,6 @@ def phase_entries(
     return entries
 
 
-def _phase_entries(
-    angles: AnglePair, signs: SignConvention, flip_second_column: bool
-) -> np.ndarray:
-    # One angle pair's interference entries, for the scalar wrappers.
-    p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
-    return phase_entries(p_ac, p_ba, signs, flip_second_column=flip_second_column)
-
-
 def reconstruct_via_interference(
     angles: AnglePair, signs: SignConvention = DEFAULT_SIGNS
 ) -> TransitionMatrix:
@@ -225,7 +217,8 @@ def reconstruct_via_interference(
     TransitionMatrix
         Rows index the ``b`` result, columns the selection outcome.
     """
-    return TransitionMatrix(_phase_entries(angles, signs, flip_second_column=True))
+    p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
+    return TransitionMatrix(phase_entries(p_ac, p_ba, signs, flip_second_column=True))
 
 
 def phase_opposition_residuals(
@@ -288,7 +281,8 @@ def verify_selection_phase_flip(
     and the check fails for every nondegenerate angle pair, which makes the
     flag useful as a negative control.
     """
-    entries = _phase_entries(angles, signs, flip_second_column=not violate_flip)
+    p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
+    entries = phase_entries(p_ac, p_ba, signs, flip_second_column=not violate_flip)
     return bool(row_sum_residuals(entries) <= tol)
 
 

@@ -42,7 +42,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import IO
 
@@ -53,7 +53,9 @@ from .eprbohm import AnglePair, conditional_probabilities
 from .errors import PreconditionViolation, require_count, require_seed
 
 _BLOCK = 1 << 16  # trials per pass of the counting loop, over all threads
-_WORKERS = min(2, len(os.sched_getaffinity(0)))  # counting threads, at most the usable cores
+# counting threads, at most the usable cores (all cores where affinity is unknown)
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 _MANTISSA_SHIFT = np.uint64(11)
 _UNIT = 2.0**-53  # Generator.random() is (word >> 11) * _UNIT
 _REDRAW_COUNTER_BASE = 1 << 64
@@ -99,6 +101,9 @@ class SimConfig:
 class SimReport:
     """Counts and estimates of one run, plus the configuration that made it.
 
+    Built from the counts alone: the estimates and the correlation are
+    derived from them on construction, never passed in.
+
     ``counts[i, j]`` holds the number of trials with result ``beta`` indexed
     by ``i`` and selection ``gamma`` indexed by ``j`` (+1 first, -1 second).
     ``estimated_conditionals`` divides each column by its total; the second
@@ -110,28 +115,34 @@ class SimReport:
     """
 
     counts: np.ndarray
-    estimated_conditionals: np.ndarray
-    estimated_correlation: float
-    std_errors: np.ndarray
     n_redraws: int
     wall_config: SimConfig
+    estimated_conditionals: np.ndarray = field(init=False)
+    estimated_correlation: float = field(init=False)
+    std_errors: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         counts = np.array(self.counts, dtype=np.int64, copy=True)
-        est = np.array(self.estimated_conditionals, dtype=float, copy=True)
-        se = np.array(self.std_errors, dtype=float, copy=True)
-        for name, arr in (("counts", counts), ("estimated_conditionals", est), ("std_errors", se)):
-            if arr.shape != (2, 2):
-                raise PreconditionViolation(f"{name} must be 2x2, got shape {arr.shape}")
-        if np.any(counts < 0) or counts.sum() != self.wall_config.n_pairs:
+        n = self.wall_config.n_pairs
+        if counts.shape != (2, 2):
+            raise PreconditionViolation(f"counts must be 2x2, got shape {counts.shape}")
+        if np.any(counts < 0) or counts.sum() != n:
             raise PreconditionViolation("counts must be nonnegative and sum to n_pairs")
+        # an empty column divides by NaN, not by 0, so its cells are math.nan
+        # with no warning (0 / 0 would give a NaN with the sign bit set on x86)
+        col_totals = counts.sum(axis=0)
+        col_totals = np.where(col_totals > 0, col_totals, math.nan)
+        p = counts[0] / col_totals
+        s = np.sqrt(p * (1.0 - p) / col_totals)
+        # the second row is the complement, so a column sums to 1.0 exactly
+        est, se = np.array([p, 1.0 - p]), np.array([s, s])
         for arr in (counts, est, se):
             arr.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "estimated_conditionals", est)
-        object.__setattr__(self, "std_errors", se)
-        object.__setattr__(self, "estimated_correlation", float(self.estimated_correlation))
         object.__setattr__(self, "n_redraws", int(self.n_redraws))
+        object.__setattr__(self, "estimated_conditionals", est)
+        object.__setattr__(self, "estimated_correlation", _correlation(int(np.trace(counts)), n))
+        object.__setattr__(self, "std_errors", se)
 
     def to_dict(self) -> dict:
         def cells(arr: np.ndarray) -> list:
@@ -339,29 +350,7 @@ def run_simulation(config: SimConfig, *, trial_log: IO[str] | None = None) -> Si
         config.time_distribution,
         trial_log,
     )
-
-    est = np.full((2, 2), math.nan)
-    se = np.full((2, 2), math.nan)
-    col_totals = counts.sum(axis=0)
-    for j in range(2):
-        n_col = int(col_totals[j])
-        if n_col == 0:
-            continue
-        p = counts[0, j] / n_col
-        est[0, j] = p
-        est[1, j] = 1.0 - p  # complement, so the column sums to 1.0 exactly
-        s = math.sqrt(p * (1.0 - p) / n_col)
-        se[0, j] = s
-        se[1, j] = s
-    corr = _correlation(int(np.trace(counts)), config.n_pairs)
-    return SimReport(
-        counts=counts,
-        estimated_conditionals=est,
-        estimated_correlation=corr,
-        std_errors=se,
-        n_redraws=n_redraws,
-        wall_config=config,
-    )
+    return SimReport(counts, n_redraws, config)
 
 
 def time_order_statistics(config: SimConfig) -> TimeOrderStats:

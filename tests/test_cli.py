@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -494,6 +496,45 @@ class TestParserBasics:
         assert code == 2
 
 
+SIMULATE_SMALL = ["simulate", "--xi", "0.3", "--eta", "0.2", "--n", "5", "--seed", "1"]
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+def run_child(argv, **kwargs):
+    # The CLI in a fresh interpreter on this checkout's sources.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen([sys.executable, "-B", "-m", "contextprob.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+class TestWriteFailures:
+    # a write that fails exits 2 with one line on stderr, never a traceback
+    @needs_dev_full
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_full_output_file_exits_two(self, capsys, flag):
+        code, _, err = run(capsys, *SIMULATE_SMALL, flag, "/dev/full")
+        assert code == 2
+        assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+
+    @needs_dev_full
+    def test_full_stdout_exits_two(self):
+        with open("/dev/full", "w") as full:
+            child = run_child(SIMULATE_SMALL, stdout=full)
+            _, err = child.communicate(timeout=60)
+        assert child.returncode == 2
+        assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_trace_to_a_closed_pipe_exits_two(self):
+        argv = ["simulate", "--xi", "0.3", "--eta", "0.2", "--n", "20000"]
+        child = run_child([*argv, "--trace", "/dev/stdout"], stdout=subprocess.PIPE)
+        child.stdout.close()  # the reader leaves before the trace is written
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 2
+        assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- pinned output
 
 # Every command in every format, and the error paths, as (id, argv). "{tmp}"
@@ -752,6 +793,7 @@ class TestCliContract:
                    "--marginal", "1"])
     @example(argv=["chsh", "--settings", "5e-324,1e308,-0.0,45", "--n", "3",
                    "--seed", "18446744073709551615", "--baseline", "deterministic-sign"])
+    @example(argv=["chsh", "--settings=-0.5,0,0.3,0.9", "--n", "3", "--seed", "0"])
     def test_every_argv_gets_a_result_or_exit_two(self, argv_dir, argv):
         runs = {fmt: run_pinned([*argv, "--format", fmt], argv_dir)
                 for fmt in ("table", "json", "csv")}

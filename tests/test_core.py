@@ -10,6 +10,7 @@ from contextprob import (
     MINUS,
     PLUS,
     BinaryDistribution,
+    InterferenceCoefficient,
     InvalidDistribution,
     InvalidMatrix,
     OutOfRangeProbability,
@@ -218,6 +219,31 @@ class TestIncompatibilityCoefficient:
             1.0, BinaryDistribution.uniform(), TransitionMatrix.uniform(), PLUS
         )
         assert coeff.to_dict() == {"lambda": 1.0, "regime": "trigonometric", "theta": 0.0}
+
+
+class TestInterferenceCoefficient:
+    # (lam, stored lam, regime, theta): regime and theta follow from lam alone
+    CASES = [
+        (None, None, Regime.DEGENERATE_DENOMINATOR, None),
+        (math.nan, None, Regime.DEGENERATE_DENOMINATOR, None),
+        (1.0, 1.0, Regime.TRIGONOMETRIC, 0.0),
+        (-1.0, -1.0, Regime.TRIGONOMETRIC, math.pi),
+        (0.5, 0.5, Regime.TRIGONOMETRIC, math.acos(0.5)),
+        (1.0 + 2.0**-52, 1.0 + 2.0**-52, Regime.HYPERBOLIC, None),
+        (-3.0, -3.0, Regime.HYPERBOLIC, None),
+    ]
+
+    @pytest.mark.parametrize("lam, stored, regime, theta", CASES)
+    def test_regime_and_theta_are_derived_from_lambda(self, lam, stored, regime, theta):
+        coeff = InterferenceCoefficient(lam)
+        assert coeff.lam == stored and (coeff.lam is None) == (stored is None)
+        assert coeff.regime is regime
+        assert coeff.theta == theta and (coeff.theta is None) == (theta is None)
+        assert coeff.to_dict() == {"lambda": stored, "regime": regime.value, "theta": theta}
+
+    def test_regime_and_theta_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            InterferenceCoefficient(0.5, Regime.HYPERBOLIC, None)
 
 
 class TestInterferenceProbability:

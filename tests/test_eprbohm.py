@@ -198,9 +198,10 @@ class TestSelectionPhaseFlip:
     def test_violation_residual_has_known_size(self):
         # suppressed flip leaves row sums at 1 -/+ sin(2 xi) sin(2 eta)
         angles = AnglePair(1.0, 0.3)
-        from contextprob.eprbohm import _phase_entries
+        from contextprob.eprbohm import angle_matrices, phase_entries
 
-        entries = _phase_entries(angles, DEFAULT_SIGNS, flip_second_column=False)
+        p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
+        entries = phase_entries(p_ac, p_ba, DEFAULT_SIGNS, flip_second_column=False)
         residual = float(np.max(np.abs(entries.sum(axis=1) - 1.0)))
         assert residual == pytest.approx(math.sin(2.0) * math.sin(0.6), abs=1e-12)
 

@@ -22,6 +22,7 @@ from contextprob import (
     LhvStrategy,
     PreconditionViolation,
     SimConfig,
+    SimReport,
     TimeDistribution,
     conditional_probabilities,
     lhv_baseline_chsh,
@@ -168,6 +169,44 @@ class TestRunSimulation:
         for line in buffer.getvalue().splitlines():
             rec = json.loads(line)
             assert rec["t_selection"] == 0.0 and rec["t_measurement"] == 1.0
+
+
+class TestSimReport:
+    # a report is built from its counts alone; the estimates follow from them
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [[1, 2], [3, 4], [0, 0]],  # 3x2
+            [[-1, 5], [3, 3]],  # a negative cell
+            [[1, 2], [3, 3]],  # sums to 9, not n_pairs
+        ],
+    )
+    def test_rejects_a_malformed_table(self, counts):
+        with pytest.raises(PreconditionViolation):
+            SimReport(np.array(counts), 0, config(n=10))
+
+    def test_derives_estimates_errors_and_correlation(self):
+        report = SimReport(np.array([[3, 0], [7, 0]]), 2, config(n=10))
+        p = 3 / 10
+        assert report.estimated_conditionals[:, 0].tolist() == [p, 1.0 - p]
+        assert report.std_errors[:, 0].tolist() == [math.sqrt(p * (1.0 - p) / 10)] * 2
+        assert report.estimated_correlation == (2 * 3 - 10) / 10
+        assert report.n_redraws == 2
+
+    def test_empty_column_is_nan(self):
+        report = SimReport(np.array([[0, 3], [0, 7]]), 0, config(n=10))
+        assert np.isnan(report.estimated_conditionals[:, 0]).all()
+        assert np.isnan(report.std_errors[:, 0]).all()
+        # the NaN of math.nan, sign bit clear, as the per-column loop stored it
+        assert not np.signbit(report.estimated_conditionals[:, 0]).any()
+        assert not np.signbit(report.std_errors[:, 0]).any()
+        assert report.estimated_conditionals[:, 1].tolist() == [0.3, 1.0 - 0.3]
+
+    def test_arrays_are_read_only(self):
+        report = SimReport(np.array([[3, 1], [7, 9]]), 0, config(n=20))
+        for arr in (report.counts, report.estimated_conditionals, report.std_errors):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
 
 
 class TestTimeOrderStatistics:
@@ -615,15 +654,25 @@ class TestCountingThreads:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_importing_the_cli_starts_no_thread(self):
-        code = (
-            "import sys, threading; import contextprob.cli; "
-            "assert threading.active_count() == 1, threading.enumerate(); "
-            "assert 'concurrent.futures' not in sys.modules"
-        )
+    @staticmethod
+    def run_fresh(code):
+        # run code in a fresh interpreter that imports this checkout's sources
         src = str(Path(simulation.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run(
             [sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr
+
+    def test_imports_where_affinity_is_unknown(self):
+        self.run_fresh(
+            "import os; del os.sched_getaffinity; import contextprob.simulation as s; "
+            "assert 1 <= s._WORKERS <= 2, s._WORKERS"
+        )
+
+    def test_importing_the_cli_starts_no_thread(self):
+        self.run_fresh(
+            "import sys, threading; import contextprob.cli; "
+            "assert threading.active_count() == 1, threading.enumerate(); "
+            "assert 'concurrent.futures' not in sys.modules"
+        )
