@@ -78,22 +78,21 @@ def _float_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
-def _positive_int(text: str) -> int:
+def _int_arg(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
+
+
+def _positive_int(text: str) -> int:
+    if (value := _int_arg(text)) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
 def _uint64(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if not 0 <= value < 1 << 64:
+    if not 0 <= (value := _int_arg(text)) < 1 << 64:
         raise argparse.ArgumentTypeError("seed must satisfy 0 <= seed < 2**64")
     return value
 
@@ -102,9 +101,7 @@ def _four_floats(text: str) -> list[float]:
     # --matrix row-major p(+|+),p(+|-),p(-|+),p(-|-), or --settings a,a',b,b'
     parts = text.split(",")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"expected 4 comma-separated numbers, got {len(parts)}"
-        )
+        raise argparse.ArgumentTypeError(f"expected 4 comma-separated numbers, got {len(parts)}")
     return [_float_arg(part) for part in parts]
 
 
@@ -272,16 +269,11 @@ def _cmd_epr(args: argparse.Namespace) -> _Output:
 
 def _cmd_verify(args: argparse.Namespace) -> _Output:
     seed = _resolve_seed(args.seed)
-    checks = run_property_suite(
-        args.samples, seed, break_phase_flip=args.break_phase_flip
-    )
+    checks = run_property_suite(args.samples, seed, break_phase_flip=args.break_phase_flip)
     all_passed = all(check.passed for check in checks)
 
     inputs = {"samples": args.samples, "break_phase_flip": args.break_phase_flip}
-    results = {
-        "checks": [asdict(check) for check in checks],
-        "all_passed": all_passed,
-    }
+    results = {"checks": [asdict(check) for check in checks], "all_passed": all_passed}
     rows = [["property", "samples", "worst_residual", "status"]]
     width = max(len(check.name) for check in checks)
     lines = [f"property checks  (seed {seed}, {args.samples} samples each)"]
@@ -499,6 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has already written its message
         return int(exc.code or 0)
+    stream = None
     try:  # a write, flush or close that fails, on stdout or a file, exits 2 too
         with ExitStack() as files:
             try:  # replace the --out and --trace paths on ``args`` with open files
@@ -508,7 +501,8 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 print(f"error: cannot open output file: {exc}", file=sys.stderr)
                 return 2
-            if args.out and (trace := getattr(args, "trace", None)):
+            trace = getattr(args, "trace", None)
+            if args.out and trace:
                 if os.path.samestat(os.fstat(args.out.fileno()), os.fstat(trace.fileno())):
                     print("error: --out and --trace name the same file", file=sys.stderr)
                     return 2
@@ -525,12 +519,16 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"seed: {output.seed}", file=sys.stderr)
             else:
                 text = "\n".join(output.lines) + "\n"
+            if trace:  # a trace that cannot be written fails before the report is out
+                trace.flush()
             stream = args.out or sys.stdout
             stream.write(text)
             stream.flush()
             return output.status
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        if stream is sys.stdout:  # drop the bytes a failed flush keeps, or exit flushes them again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -5,8 +5,6 @@ import io
 import json
 import math
 import os
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -500,39 +498,36 @@ SIMULATE_SMALL = ["simulate", "--xi", "0.3", "--eta", "0.2", "--n", "5", "--seed
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
-def run_child(argv, **kwargs):
-    # The CLI in a fresh interpreter on this checkout's sources.
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.Popen([sys.executable, "-B", "-m", "contextprob.cli", *argv], env=env,
-                            stderr=subprocess.PIPE, text=True, **kwargs)
-
-
 class TestWriteFailures:
-    # a write that fails exits 2 with one line on stderr, never a traceback
+    # a write that fails exits 2 with one line on stderr and nothing on stdout
     @needs_dev_full
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_full_output_file_exits_two(self, capsys, flag):
-        code, _, err = run(capsys, *SIMULATE_SMALL, flag, "/dev/full")
-        assert code == 2
+        code, out, err = run(capsys, *SIMULATE_SMALL, flag, "/dev/full")
+        assert code == 2 and out == ""
         assert err.startswith("error: cannot write output:") and err.count("\n") == 1
 
     @needs_dev_full
-    def test_full_stdout_exits_two(self):
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_full_stdout_exits_two(self, run_python, flags):
         with open("/dev/full", "w") as full:
-            child = run_child(SIMULATE_SMALL, stdout=full)
-            _, err = child.communicate(timeout=60)
+            child = run_python(*flags, "-m", "contextprob.cli", *SIMULATE_SMALL, stdout=full)
         assert child.returncode == 2
-        assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+        assert child.stderr.startswith("error: cannot write output:")
+        assert child.stderr.count("\n") == 1
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
-    def test_trace_to_a_closed_pipe_exits_two(self):
-        argv = ["simulate", "--xi", "0.3", "--eta", "0.2", "--n", "20000"]
-        child = run_child([*argv, "--trace", "/dev/stdout"], stdout=subprocess.PIPE)
-        child.stdout.close()  # the reader leaves before the trace is written
-        _, err = child.communicate(timeout=60)
+    def test_trace_to_a_closed_pipe_exits_two(self, run_python):
+        argv = ["simulate", "--xi", "0.3", "--eta", "0.2", "--n", "20000", "--trace", "/dev/stdout"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has left before the trace is written
+        try:
+            child = run_python("-m", "contextprob.cli", *argv, stdout=write_end)
+        finally:
+            os.close(write_end)
         assert child.returncode == 2
-        assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+        assert child.stderr.startswith("error: cannot write output:")
+        assert child.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------- pinned output

@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -14,13 +11,6 @@ def test_every_demo_is_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs_to_completion(demo):
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(demo)],
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+def test_demo_runs_to_completion(run_python, demo):
+    result = run_python(str(demo), timeout=120)
     assert result.returncode == 0, result.stderr

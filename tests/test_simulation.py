@@ -3,11 +3,9 @@ import itertools
 import json
 import math
 import os
-import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -654,25 +652,19 @@ class TestCountingThreads:
         finally:
             sys.setswitchinterval(interval)
 
-    @staticmethod
-    def run_fresh(code):
-        # run code in a fresh interpreter that imports this checkout's sources
-        src = str(Path(simulation.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        result = subprocess.run(
-            [sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
-
-    def test_imports_where_affinity_is_unknown(self):
-        self.run_fresh(
+    def test_imports_where_affinity_is_unknown(self, run_python):
+        child = run_python(
+            "-c",
             "import os; del os.sched_getaffinity; import contextprob.simulation as s; "
-            "assert 1 <= s._WORKERS <= 2, s._WORKERS"
+            "assert 1 <= s._WORKERS <= 2, s._WORKERS",
         )
+        assert child.returncode == 0, child.stderr
 
-    def test_importing_the_cli_starts_no_thread(self):
-        self.run_fresh(
+    def test_importing_the_cli_starts_no_thread(self, run_python):
+        child = run_python(
+            "-c",
             "import sys, threading; import contextprob.cli; "
             "assert threading.active_count() == 1, threading.enumerate(); "
-            "assert 'concurrent.futures' not in sys.modules"
+            "assert 'concurrent.futures' not in sys.modules",
         )
+        assert child.returncode == 0, child.stderr
