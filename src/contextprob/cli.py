@@ -18,8 +18,8 @@ stdout stays pure CSV.
 Exit codes: 0 on success, 1 when a verified property fails, 2 on invalid
 usage or input validation errors, including an ``--out`` or ``--trace`` path
 that cannot be opened, the two naming one file, and output (stdout or either
-file) that cannot be written. Output files are opened before any computation,
-as a shell redirection would open them.
+file) that cannot be written, a closed stdout included. Output files are
+opened before any computation, as a shell redirection would open them.
 """
 
 from __future__ import annotations
@@ -141,18 +141,10 @@ def _json_text(command: str, inputs: dict, results: dict, seed: int | None) -> s
 
 
 def _csv_text(rows: list[list]) -> str:
+    # csv.writer writes None as an empty cell and a float as its repr
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
-
-
-def _cell(value) -> str:
-    # Full-precision CSV cell: repr for floats, plain str otherwise.
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _fmt(value) -> str:
@@ -164,10 +156,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _matrix_lines(label: str, entries: np.ndarray, indent: str = "  ") -> list[str]:
-    lines = [f"{indent}{label}  (rows: result +,-; columns: condition +,-)"]
+def _matrix_lines(label: str, entries: np.ndarray) -> list[str]:
+    lines = [f"  {label}  (rows: result +,-; columns: condition +,-)"]
     for row in entries:
-        lines.append(indent + "    " + "  ".join(f"{_fmt(float(v)):>12s}" for v in row))
+        lines.append("      " + "  ".join(f"{_fmt(float(v)):>12s}" for v in row))
     return lines
 
 
@@ -206,7 +198,7 @@ def _cmd_lambda(args: argparse.Namespace) -> _Output:
         "beta": beta,
     }
     results = {"classical": classical, **coeff.to_dict()}
-    rows = [["field", "value"], *([key, _cell(value)] for key, value in results.items())]
+    rows = [["field", "value"], *results.items()]
     lines = [
         "incompatibility coefficient",
         f"  observed  : {_fmt(args.observed)}",
@@ -247,9 +239,9 @@ def _cmd_epr(args: argparse.Namespace) -> _Output:
     for label, matrix in (("closed_form", closed), ("reconstructed", recon)):
         for i, b in enumerate(("+", "-")):
             for j, g in enumerate(("+", "-")):
-                rows.append([label, b, g, _cell(float(matrix.entries[i, j]))])
-    rows.append(["max_abs_difference", "", "", _cell(max_diff)])
-    rows.append(["correlation", "", "", _cell(corr)])
+                rows.append([label, b, g, float(matrix.entries[i, j])])
+    rows.append(["max_abs_difference", "", "", max_diff])
+    rows.append(["correlation", "", "", corr])
     lines = [
         "selection-conditioned probabilities",
         f"  xi = {_fmt(angles.xi)} rad, eta = {_fmt(angles.eta)} rad",
@@ -279,7 +271,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
     lines = [f"property checks  (seed {seed}, {args.samples} samples each)"]
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
-        rows.append([check.name, check.n_samples, _cell(check.worst_residual), status])
+        rows.append([check.name, check.n_samples, check.worst_residual, status])
         lines.append(
             f"  {check.name:<{width}s}  worst residual {check.worst_residual:9.3e}  {status}"
         )
@@ -320,7 +312,7 @@ def _cmd_simulate(args: argparse.Namespace) -> _Output:
             count = int(report.counts[i, j])
             est = float(report.estimated_conditionals[i, j])
             se = float(report.std_errors[i, j])
-            rows.append([b, g, count, _cell(est), _cell(se)])
+            rows.append([b, g, count, est, se])
             lines.append(
                 f"  {b:>4s} {g:>5s} {count:>10d} {_fmt(est):>12s} {_fmt(se):>12s} "
                 f"{_fmt(float(analytic[i, j])):>12s}"
@@ -367,9 +359,9 @@ def _cmd_chsh(args: argparse.Namespace) -> _Output:
     }
     rows = [
         ["quantity", "value"],
-        ["s_estimate", _cell(s_estimate)],
-        ["s_abs", _cell(abs(s_estimate))],
-        ["s_analytic", _cell(s_analytic)],
+        ["s_estimate", s_estimate],
+        ["s_abs", abs(s_estimate)],
+        ["s_analytic", s_analytic],
     ]
     lines = [
         "four-setting correlation scan",
@@ -380,7 +372,7 @@ def _cmd_chsh(args: argparse.Namespace) -> _Output:
         f"  S analytic : {_fmt(s_analytic)}",
     ]
     if baseline:
-        rows.append([f"baseline_{baseline['strategy']}", _cell(baseline["s_estimate"])])
+        rows.append([f"baseline_{baseline['strategy']}", baseline["s_estimate"]])
         lines.append(
             f"  baseline ({baseline['strategy']}): S = {_fmt(baseline['s_estimate'])}"
             f"   |S| = {_fmt(baseline['s_abs'])}"
@@ -521,13 +513,14 @@ def main(argv: list[str] | None = None) -> int:
                 text = "\n".join(output.lines) + "\n"
             if trace:  # a trace that cannot be written fails before the report is out
                 trace.flush()
-            stream = args.out or sys.stdout
+            if (stream := args.out or sys.stdout) is None:  # started with fd 1 closed
+                raise OSError("stdout is closed")
             stream.write(text)
             stream.flush()
             return output.status
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
-        if stream is sys.stdout:  # drop the bytes a failed flush keeps, or exit flushes them again
+        if stream is sys.stdout is not None:  # drop the kept bytes, or exit flushes them again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 

@@ -44,6 +44,10 @@ from .errors import PreconditionViolation
 
 _HALF_PI = math.pi / 2.0
 
+# The four-setting combination E(a,b) - E(a,b') + E(a',b) + E(a',b'), one term
+# per setting pair: the indices of its two settings in (a, a', b, b') and its sign.
+CHSH_TERMS = (((0, 2), 1.0), ((0, 3), -1.0), ((1, 2), 1.0), ((1, 3), 1.0))
+
 
 @dataclass(frozen=True)
 class AnglePair:
@@ -87,18 +91,23 @@ class SignConvention:
     cos_theta_minus: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cos_theta_plus", float(self.cos_theta_plus))
-        object.__setattr__(self, "cos_theta_minus", float(self.cos_theta_minus))
-        for value in (self.cos_theta_plus, self.cos_theta_minus):
-            if value not in (1.0, -1.0):
-                raise PreconditionViolation(
-                    f"phase cosines must be +1.0 or -1.0, got {value}"
-                )
-        if self.cos_theta_plus == self.cos_theta_minus:
+        plus, minus = _unit_cosines(self.cos_theta_plus, self.cos_theta_minus)
+        object.__setattr__(self, "cos_theta_plus", plus)
+        object.__setattr__(self, "cos_theta_minus", minus)
+        if plus == minus:
             raise PreconditionViolation("the two phase cosines must have opposite signs")
 
     def flipped(self) -> "SignConvention":
         return SignConvention(-self.cos_theta_plus, -self.cos_theta_minus)
+
+
+def _unit_cosines(*cosines) -> tuple[float, ...]:
+    # The phase cosines as floats, each exactly +1.0 or -1.0.
+    cosines = tuple(float(value) for value in cosines)
+    for value in cosines:
+        if value not in (1.0, -1.0):
+            raise PreconditionViolation(f"phase cosines must be +1.0 or -1.0, got {value}")
+    return cosines
 
 
 DEFAULT_SIGNS = SignConvention(-1.0, 1.0)
@@ -229,13 +238,7 @@ def phase_opposition_residuals(
     The array form behind :func:`verify_phase_opposition`, with the same
     precondition on the two phase cosines.
     """
-    cosines = (float(cos_theta_plus), float(cos_theta_minus))
-    for value in cosines:
-        if value not in (1.0, -1.0):
-            raise PreconditionViolation(
-                f"phase cosines must be +1.0 or -1.0, got {value}"
-            )
-    plus, minus = _column(p_ac, p_ba, 0, *cosines)
+    plus, minus = _column(p_ac, p_ba, 0, *_unit_cosines(cos_theta_plus, cos_theta_minus))
     return np.abs(plus + minus - 1.0)
 
 
@@ -316,12 +319,9 @@ def setting_correlation(delta: float, marginal_c: BinaryDistribution) -> float:
 
 def chsh_values(a, a_prime, b, b_prime, q_plus, q_minus) -> np.ndarray:
     """Array form of :func:`chsh`; all arguments broadcast elementwise."""
-    return (
-        correlation_values(a - b, q_plus, q_minus)
-        - correlation_values(a - b_prime, q_plus, q_minus)
-        + correlation_values(a_prime - b, q_plus, q_minus)
-        + correlation_values(a_prime - b_prime, q_plus, q_minus)
-    )
+    s = (a, a_prime, b, b_prime)
+    e = [sign * correlation_values(s[i] - s[j], q_plus, q_minus) for (i, j), sign in CHSH_TERMS]
+    return e[0] + e[1] + e[2] + e[3]  # left to right, as the combination is written
 
 
 def chsh(

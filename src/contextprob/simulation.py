@@ -49,7 +49,7 @@ from typing import IO
 import numpy as np
 
 from .core import BinaryDistribution
-from .eprbohm import AnglePair, conditional_probabilities
+from .eprbohm import CHSH_TERMS, AnglePair, conditional_probabilities
 from .errors import PreconditionViolation, require_count, require_seed
 
 _BLOCK = 1 << 16  # trials per pass of the counting loop, over all threads
@@ -233,10 +233,12 @@ def _split(n: int, count):
     def run(w: int) -> None:
         try:
             results[w] = count(n * w // workers, n * (w + 1) // workers, -(-_BLOCK // workers))
-        except BaseException as exc:  # re-raised in the caller below
-            failures.append(exc)
+        except BaseException as exc:
+            if w == 0:  # raise the caller's own at once (an interrupt, say): helpers are daemons
+                raise
+            failures.append(exc)  # a helper's, re-raised in the caller below
 
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    threads = [threading.Thread(target=run, args=(w,), daemon=True) for w in range(1, workers)]
     for thread in threads:
         thread.start()
     run(0)
@@ -390,8 +392,6 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
     )
 
 
-_CHSH_PAIR_ORDER = ((0, 2), (0, 3), (1, 2), (1, 3))  # (a,b), (a,b'), (a',b), (a',b')
-_CHSH_SIGNS = (1.0, -1.0, 1.0, 1.0)
 _FLIP_CELLS = 4096  # cells per pass of the search for sign flips
 
 
@@ -401,9 +401,9 @@ def _correlation(agree: int, n: int) -> float:
 
 
 def _scan(settings: tuple, n: int, seed: int, branch: int, agreements, side=float) -> float:
-    # E(a,b) - E(a,b') + E(a',b) + E(a',b'), where agreements(x, y, n, key)
-    # counts the trials of one pair whose signs agree, keyed by child (branch, k);
-    # x and y are side(setting), worked out once per setting before any pair runs
+    # The CHSH_TERMS summed in order, where agreements(x, y, n, key) counts the
+    # trials of term k whose signs agree, keyed by child (branch, k); x and y are
+    # side(setting), worked out once per setting before any pair runs
     settings = tuple(float(value) for value in settings)
     for name, setting in zip(("a", "a'", "b", "b'"), settings):
         if not math.isfinite(setting):
@@ -412,9 +412,9 @@ def _scan(settings: tuple, n: int, seed: int, branch: int, agreements, side=floa
     seed = require_seed(seed)
     sides = [side(setting) for setting in settings]
     value = 0.0
-    for k, (i, j) in enumerate(_CHSH_PAIR_ORDER):
+    for k, ((i, j), sign) in enumerate(CHSH_TERMS):
         key = _philox_key(_child_seed(seed, branch, k))
-        value += _CHSH_SIGNS[k] * _correlation(agreements(sides[i], sides[j], n, key), n)
+        value += sign * _correlation(agreements(sides[i], sides[j], n, key), n)
     return value
 
 

@@ -65,12 +65,6 @@ class PropertyCheck:
     worst_residual: float
     passed: bool
 
-    def __post_init__(self) -> None:
-        # Plain Python scalars, so every output format prints them as such.
-        object.__setattr__(self, "n_samples", int(self.n_samples))
-        object.__setattr__(self, "worst_residual", float(self.worst_residual))
-        object.__setattr__(self, "passed", bool(self.passed))
-
 
 def _sweep(rng: np.random.Generator, n_samples: int, block_check, *args) -> tuple[float, bool]:
     # ``block_check(rng, size, *args)`` draws ``size`` samples and returns the

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -525,6 +526,22 @@ class TestWriteFailures:
             child = run_python("-m", "contextprob.cli", *argv, stdout=write_end)
         finally:
             os.close(write_end)
+        assert child.returncode == 2
+        assert child.stderr.startswith("error: cannot write output:")
+        assert child.stderr.count("\n") == 1
+
+    def test_closed_stdout_exits_two(self, capsys, monkeypatch):
+        # an interpreter started with fd 1 closed has sys.stdout set to None
+        monkeypatch.setattr(sys, "stdout", None)
+        code, _, err = run(capsys, *SIMULATE_SMALL)
+        assert code == 2
+        assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+
+    def test_started_with_stdout_closed_exits_two(self, run_python):
+        launch = ("import os, sys; os.close(1); "
+                  "os.execv(sys.executable, [sys.executable, '-B', '-m', 'contextprob.cli', "
+                  "*sys.argv[1:]])")
+        child = run_python("-c", launch, *SIMULATE_SMALL)
         assert child.returncode == 2
         assert child.stderr.startswith("error: cannot write output:")
         assert child.stderr.count("\n") == 1

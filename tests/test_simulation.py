@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contextprob import simulation
@@ -337,14 +337,20 @@ class TestLhvBaseline:
 # kernel must reproduce them bit for bit.
 
 
+def reference_signs(u, delta, q):
+    """(gamma, beta) as +-1 arrays from rows of four Generator.random() doubles."""
+    cond = conditional_probabilities(delta)
+    gamma = np.where(u[:, 2] < q, 1, -1)
+    beta = np.where(u[:, 3] < np.where(gamma == 1, cond[0, 0], cond[0, 1]), 1, -1)
+    return gamma, beta
+
+
 def reference_run(cfg):
     """(counts, trial-log text) from one Generator.random(4 n) array."""
     n = cfg.n_pairs
     key = simulation._philox_key(cfg.seed)
     u = np.random.Generator(np.random.Philox(key=key)).random(4 * n).reshape(n, 4)
-    cond = conditional_probabilities(cfg.angles.delta)
-    gamma = np.where(u[:, 2] < cfg.marginal_c.p_plus, 1, -1)
-    beta = np.where(u[:, 3] < np.where(gamma == 1, cond[0, 0], cond[0, 1]), 1, -1)
+    gamma, beta = reference_signs(u, cfg.angles.delta, cfg.marginal_c.p_plus)
     counts = np.array([[np.count_nonzero((beta == b) & (gamma == g)) for g in (1, -1)]
                        for b in (1, -1)])
     if cfg.time_distribution is TimeDistribution.FIXED_ORDER:
@@ -358,6 +364,17 @@ def reference_run(cfg):
         for a, b, g, h in zip(t_sel, t_meas, gamma, beta)
     )
     return counts, log
+
+
+def reference_chsh(angles, q, n, seed):
+    """The model S from one Generator.random(4 n) array per setting pair."""
+    value = 0.0
+    for k, (i, j) in enumerate(((0, 2), (0, 3), (1, 2), (1, 3))):
+        key = simulation._philox_key(simulation._child_seed(seed, 0, k))
+        u = np.random.Generator(np.random.Philox(key=key)).random(4 * n).reshape(n, 4)
+        gamma, beta = reference_signs(u, angles[i] - angles[j], q)
+        value += (1.0, -1.0, 1.0, 1.0)[k] * float(np.mean(gamma * beta))
+    return value
 
 
 def reference_baseline(angles, strategy, n, seed):
@@ -498,6 +515,18 @@ class TestCountingKernel:
                 angles, strategy, n, 77
             )
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [None, 1, 3, 64])
+    @pytest.mark.parametrize("angles", SETTINGS_OF_EVERY_MAGNITUDE)
+    def test_model_scan_matches_the_one_shot_reference(self, monkeypatch, workers, block, angles):
+        # pair order, signs and child seeds of simulate_chsh, fixed independently
+        monkeypatch.setattr(simulation, "_WORKERS", workers)
+        if block is not None:
+            monkeypatch.setattr(simulation, "_BLOCK", block)
+        for n, q in itertools.product((1, 2, 5, 1_003), (0.5, 0.3, 1.0)):
+            marginal = BinaryDistribution.from_p_plus(q)
+            assert simulate_chsh(*angles, marginal, n, 77) == reference_chsh(angles, q, n, 77)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -561,6 +590,27 @@ def test_deterministic_sign_matches_the_cosine_reference(angles, n, block, seed)
         )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    angles=st.tuples(finite_settings, finite_settings, finite_settings, finite_settings),
+    q=st.floats(0.0, 1.0),
+    n=st.integers(1, 500),
+    block=st.integers(1, 1_024),
+    workers=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_model_scan_matches_the_reference_at_any_finite_settings(
+    angles, q, n, block, workers, seed
+):
+    a, a_prime, b, b_prime = angles
+    assume(all(math.isfinite(x - y) for x in (a, a_prime) for y in (b, b_prime)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_BLOCK", block)
+        mp.setattr(simulation, "_WORKERS", workers)
+        marginal = BinaryDistribution.from_p_plus(q)
+        assert simulate_chsh(*angles, marginal, n, seed) == reference_chsh(angles, q, n, seed)
+
+
 @settings(max_examples=200, deadline=None)
 @given(x=finite_settings)
 @example(x=-0.0)
@@ -614,6 +664,31 @@ class TestCountingThreads:
         for thread in helpers:
             thread.join(timeout=10)
             assert not thread.is_alive()
+
+    def test_a_failing_caller_range_does_not_wait_for_the_others(self, monkeypatch):
+        # an interrupt on the calling thread must not wait out a helper's whole range
+        monkeypatch.setattr(simulation, "_WORKERS", 2)
+        entered, release, helpers = threading.Event(), threading.Event(), []
+
+        def count(start, stop, block):
+            if start == 0:
+                entered.wait(timeout=5)  # fail while the helper is still counting
+                raise Boom("range 0")
+            helpers.append(threading.current_thread())
+            entered.set()
+            release.wait(timeout=5)
+            return stop - start
+
+        began = time.monotonic()
+        try:
+            with pytest.raises(Boom, match="range 0"):
+                simulation._split(100, count)
+            assert time.monotonic() - began < 1.0
+        finally:
+            release.set()
+        assert len(helpers) == 1
+        helpers[0].join(timeout=10)
+        assert not helpers[0].is_alive()
 
     def test_ranges_cover_the_trials_once_in_blocks_of_the_worker_share(self, monkeypatch):
         monkeypatch.setattr(simulation, "_WORKERS", 3)
