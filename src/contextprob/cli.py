@@ -10,10 +10,12 @@ and ``csv`` are machine formats carrying full-precision floats, so identical
 invocations produce byte-identical output and re-parsing recovers the
 in-memory values exactly. JSON always has the shape
 ``{"command", "inputs", "results", "seed"}`` with NaN rendered as null.
-There is one render path: each command handler returns an ``_Output`` record
-holding its values in every format, and :func:`main` picks the one asked for
-and writes it. In CSV mode a seeded command echoes its seed on stderr, so
-stdout stays pure CSV.
+This module is the one writer of JSON and CSV reports: library value objects
+only expose fields, and ``_jsonable`` turns a dataclass into a dict of its
+fields, an enum into its value and an array into lists. There is one render
+path: each command handler returns an ``_Output`` record holding its values in
+every format, and :func:`main` picks the one asked for and writes it. In CSV
+mode a seeded command echoes its seed on stderr, so stdout stays pure CSV.
 
 Exit codes: 0 on success, 1 when a verified property fails, 2 on invalid
 usage or input validation errors, including an ``--out`` or ``--trace`` path
@@ -32,7 +34,8 @@ import math
 import os
 import sys
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -119,6 +122,13 @@ def _to_radians(value: float, unit: str) -> float:
 
 
 def _jsonable(obj):
+    # a dataclass by its fields, in declaration order; NaN and inf become null
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    elif isinstance(obj, Enum):
+        obj = obj.value
+    elif isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {key: _jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -197,7 +207,8 @@ def _cmd_lambda(args: argparse.Namespace) -> _Output:
         "matrix": transition.entries.tolist(),
         "beta": beta,
     }
-    results = {"classical": classical, **coeff.to_dict()}
+    results = {"classical": classical, "lambda": coeff.lam,
+               "regime": coeff.regime.value, "theta": coeff.theta}
     rows = [["field", "value"], *results.items()]
     lines = [
         "incompatibility coefficient",
@@ -226,7 +237,7 @@ def _cmd_epr(args: argparse.Namespace) -> _Output:
     inputs = {
         "xi": angles.xi,
         "eta": angles.eta,
-        "signs": asdict(signs),
+        "signs": signs,
         "marginal_p_plus": marginal.p_plus,
     }
     results = {
@@ -265,7 +276,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
     all_passed = all(check.passed for check in checks)
 
     inputs = {"samples": args.samples, "break_phase_flip": args.break_phase_flip}
-    results = {"checks": [asdict(check) for check in checks], "all_passed": all_passed}
+    results = {"checks": checks, "all_passed": all_passed}
     rows = [["property", "samples", "worst_residual", "status"]]
     width = max(len(check.name) for check in checks)
     lines = [f"property checks  (seed {seed}, {args.samples} samples each)"]
@@ -295,9 +306,8 @@ def _cmd_simulate(args: argparse.Namespace) -> _Output:
     analytic = conditional_probabilities(config.angles.delta)
     analytic_corr = setting_correlation(config.angles.delta, config.marginal_c)
 
-    results = report.to_dict()
-    results["analytic_conditionals"] = analytic.tolist()
-    results["analytic_correlation"] = analytic_corr
+    results = {**_jsonable(report), "analytic_conditionals": analytic,
+               "analytic_correlation": analytic_corr}
     rows = [["beta", "gamma", "count", "estimate", "std_error"]]
     lines = [
         "ensemble simulation",
@@ -321,7 +331,7 @@ def _cmd_simulate(args: argparse.Namespace) -> _Output:
         f"  correlation: estimated {_fmt(report.estimated_correlation)}, "
         f"analytic {_fmt(analytic_corr)}"
     )
-    return _Output(config.to_dict(), results, seed, rows, lines)
+    return _Output(_jsonable(config), results, seed, rows, lines)
 
 
 # ---------------------------------------------------------------- chsh command

@@ -172,13 +172,6 @@ class InterferenceCoefficient:
         object.__setattr__(self, "regime", regime)
         object.__setattr__(self, "theta", theta)
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "regime": self.regime.value,
-            "theta": self.theta,
-        }
-
 
 def _four_factors(
     prior: BinaryDistribution, transition: TransitionMatrix, beta: int

@@ -38,11 +38,10 @@ is bit-identical to the sign of ``cos(setting - hidden)`` without a cosine.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO
 
@@ -93,9 +92,6 @@ class SimConfig:
                 f"time_distribution must be a TimeDistribution, got {self.time_distribution!r}"
             )
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "time_distribution": self.time_distribution.value}
-
 
 @dataclass(frozen=True, eq=False)
 class SimReport:
@@ -114,12 +110,13 @@ class SimReport:
     standard error ``sqrt(p (1 - p) / n_col)``, NaN on empty columns.
     """
 
+    # the field order is the JSON key order of ``simulate`` results
     counts: np.ndarray
-    n_redraws: int
-    wall_config: SimConfig
     estimated_conditionals: np.ndarray = field(init=False)
     estimated_correlation: float = field(init=False)
     std_errors: np.ndarray = field(init=False)
+    n_redraws: int
+    wall_config: SimConfig
 
     def __post_init__(self) -> None:
         counts = np.array(self.counts, dtype=np.int64, copy=True)
@@ -144,22 +141,6 @@ class SimReport:
         object.__setattr__(self, "estimated_correlation", _correlation(int(np.trace(counts)), n))
         object.__setattr__(self, "std_errors", se)
 
-    def to_dict(self) -> dict:
-        def cells(arr: np.ndarray) -> list:
-            return [[_nan_to_none(v) for v in row] for row in arr.tolist()]
-
-        return {
-            "counts": self.counts.tolist(),
-            "estimated_conditionals": cells(self.estimated_conditionals),
-            "estimated_correlation": self.estimated_correlation,
-            "std_errors": cells(self.std_errors),
-            "n_redraws": self.n_redraws,
-            "wall_config": self.wall_config.to_dict(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
 
 @dataclass(frozen=True)
 class TimeOrderStats:
@@ -172,10 +153,6 @@ class TimeOrderStats:
     std_gap: float
     min_gap: float
     max_gap: float
-
-
-def _nan_to_none(value: float) -> float | None:
-    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def _philox_key(seed: int) -> np.ndarray:

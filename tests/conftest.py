@@ -6,6 +6,7 @@ up. The environment variable carries the setting into the interpreters the
 tests start (the demos, the CLI write failures and the thread checks).
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,21 @@ import pytest
 
 sys.dont_write_bytecode = True
 os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+
+@pytest.fixture(scope="session")
+def report_json():
+    """The JSON text of a report, converted as the CLI converts its results.
+
+    Two runs that must agree compare these texts: one differing count,
+    estimate or config field changes them.
+    """
+    from contextprob import cli
+
+    def text(report):
+        return json.dumps(cli._jsonable(report))
+
+    return text
 
 
 @pytest.fixture

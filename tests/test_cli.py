@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,13 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextprob import (
+    DEFAULT_SIGNS,
     AnglePair,
     BinaryDistribution,
     LhvStrategy,
     SimConfig,
+    SimReport,
     TimeDistribution,
     cli,
     conditional_probabilities,
+    run_property_suite,
     run_simulation,
     setting_correlation,
     simulation,
@@ -684,6 +688,39 @@ def argv_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("argv")
 
 
+class TestJsonConverter:
+    @pytest.mark.parametrize("mode, text", [
+        (TimeDistribution.UNIFORM_SQUARE, "uniform-square"),
+        (TimeDistribution.FIXED_ORDER, "fixed-order"),
+    ])
+    def test_report_converts_by_its_fields(self, mode, text):
+        config = SimConfig(AnglePair(1.0, 0.5), BinaryDistribution.from_p_plus(1.0), 60, 7, mode)
+        report = run_simulation(config)
+        data = cli._jsonable(report)
+        assert list(data) == [f.name for f in dataclasses.fields(SimReport)]
+        assert data["counts"] == report.counts.tolist()
+        for name in ("estimated_conditionals", "std_errors"):  # q = 1 leaves column 2 empty
+            values = getattr(report, name)
+            nulls = [[value is None for value in row] for row in data[name]]
+            assert nulls == np.isnan(values).tolist() == [[False, True], [False, True]]
+            assert [row[0] for row in data[name]] == values[:, 0].tolist()
+        assert data["estimated_correlation"] == report.estimated_correlation
+        assert data["n_redraws"] == report.n_redraws
+        assert data["wall_config"] == {
+            "angles": {"xi": 1.0, "eta": 0.5},
+            "marginal_c": dataclasses.asdict(config.marginal_c),
+            "n_pairs": 60,
+            "seed": 7,
+            "time_distribution": text,
+        }
+
+    def test_plain_value_objects_convert_as_asdict(self):
+        for signs in (DEFAULT_SIGNS, DEFAULT_SIGNS.flipped()):
+            assert cli._jsonable(signs) == dataclasses.asdict(signs)
+        for check in run_property_suite(20, 3):
+            assert cli._jsonable(check) == dataclasses.asdict(check)
+
+
 class TestSimulateJsonRoundTrip:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -696,14 +733,16 @@ class TestSimulateJsonRoundTrip:
     )
     @example(n=40, seed=3, xi=1.0, eta=0.5, q=0.0, mode=TimeDistribution.UNIFORM_SQUARE)
     @example(n=40, seed=3, xi=1.0, eta=0.5, q=1.0, mode=TimeDistribution.FIXED_ORDER)
-    def test_parsed_json_equals_to_dict(self, argv_dir, n, seed, xi, eta, q, mode):
+    def test_parsed_json_equals_the_converted_report(
+        self, argv_dir, report_json, n, seed, xi, eta, q, mode
+    ):
         config = SimConfig(AnglePair(xi, eta), BinaryDistribution.from_p_plus(q), n, seed, mode)
         report = run_simulation(config)
-        expected = report.to_dict()
+        expected = cli._jsonable(report)
         for name in ("estimated_conditionals", "std_errors"):  # NaN is written as null
             nulls = [[value is None for value in row] for row in expected[name]]
             assert nulls == np.isnan(getattr(report, name)).tolist()
-        assert json.loads(report.to_json()) == expected
+        assert json.loads(report_json(report)) == expected
 
         ran = run_pinned(
             ["simulate", "--xi", repr(xi), "--eta", repr(eta), "--marginal", repr(q),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from contextprob import (
     Regime,
     TransitionMatrix,
     classical_total_probability,
+    cli,
     incompatibility_coefficient,
     interference_probability,
 )
@@ -214,11 +216,16 @@ class TestIncompatibilityCoefficient:
                 assert coeff.lam is None
         assert Regime.TRIGONOMETRIC in seen and Regime.HYPERBOLIC in seen
 
-    def test_json_dict_uses_lambda_key(self):
+    def test_json_dict_uses_lambda_key(self, capsys):
         coeff = incompatibility_coefficient(
             1.0, BinaryDistribution.uniform(), TransitionMatrix.uniform(), PLUS
         )
-        assert coeff.to_dict() == {"lambda": 1.0, "regime": "trigonometric", "theta": 0.0}
+        assert cli._jsonable(coeff) == {"lam": 1.0, "regime": "trigonometric", "theta": 0.0}
+        argv = ["lambda", "--observed", "1.0", "--prior", "0.5",
+                "--matrix", "0.5,0.5,0.5,0.5", "--format", "json"]
+        assert cli.main(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == {"classical": 0.5, "lambda": 1.0, "regime": "trigonometric", "theta": 0.0}
 
 
 class TestInterferenceCoefficient:
@@ -239,7 +246,6 @@ class TestInterferenceCoefficient:
         assert coeff.lam == stored and (coeff.lam is None) == (stored is None)
         assert coeff.regime is regime
         assert coeff.theta == theta and (coeff.theta is None) == (theta is None)
-        assert coeff.to_dict() == {"lambda": stored, "regime": regime.value, "theta": theta}
 
     def test_regime_and_theta_are_not_arguments(self):
         with pytest.raises(TypeError):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contextprob import simulation
+from contextprob import cli, simulation
 from contextprob import (
     AnglePair,
     BinaryDistribution,
@@ -68,16 +68,16 @@ class TestSimConfig:
 
 
 class TestRunSimulation:
-    def test_identical_seeds_identical_reports(self):
+    def test_identical_seeds_identical_reports(self, report_json):
         r1 = run_simulation(config())
         r2 = run_simulation(config())
-        assert r1.to_json() == r2.to_json()
+        assert report_json(r1) == report_json(r2)
 
-    def test_chunk_count_never_changes_results(self, monkeypatch):
-        reference = run_simulation(config(n=10_001)).to_json()
+    def test_chunk_count_never_changes_results(self, monkeypatch, report_json):
+        reference = report_json(run_simulation(config(n=10_001)))
         for block in (1, 7, 16, 5_000, 10_000):
             monkeypatch.setattr(simulation, "_BLOCK", block)
-            assert run_simulation(config(n=10_001)).to_json() == reference
+            assert report_json(run_simulation(config(n=10_001))) == reference
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -133,10 +133,15 @@ class TestRunSimulation:
         # the populated column still behaves
         assert report.estimated_conditionals[:, 0].sum() == 1.0
 
-    def test_empty_column_serializes_as_null(self):
+    def test_empty_column_serializes_as_null(self, capsys):
         report = run_simulation(config(n=100, q=1.0))
-        data = json.loads(report.to_json())
-        assert data["estimated_conditionals"][0][1] is None
+        assert cli._jsonable(report)["estimated_conditionals"][0][1] is None
+        argv = ["simulate", "--xi", repr(math.pi / 3.0), "--eta", repr(math.pi / 6.0),
+                "--marginal", "1.0", "--n", "100", "--seed", "42", "--format", "json"]
+        assert cli.main(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["estimated_conditionals"][0][1] is None
+        assert results["std_errors"][1][1] is None
 
     def test_trial_log_replays_the_counts(self):
         buffer = io.StringIO()
@@ -464,7 +469,7 @@ class TestCountingKernel:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_forced_ties_count_the_same_redraws_with_and_without_a_trace(
-        self, monkeypatch, workers
+        self, monkeypatch, workers, report_json
     ):
         uniform_bits = simulation._uniform_bits
 
@@ -481,7 +486,7 @@ class TestCountingKernel:
         monkeypatch.setattr(simulation, "_WORKERS", workers)
         traced = run_simulation(config(n=3_000, seed=4), trial_log=io.StringIO())
         untraced = run_simulation(config(n=3_000, seed=4))
-        assert untraced.to_json() == traced.to_json()
+        assert report_json(untraced) == report_json(traced)
         assert untraced.n_redraws > 300
 
     @pytest.mark.parametrize("angles", SETTINGS_OF_EVERY_MAGNITUDE)
@@ -551,13 +556,13 @@ class TestCountingKernel:
 @example(n=102, block=100, workers=3, seed=9, mode=TimeDistribution.FIXED_ORDER)
 @example(n=103, block=100, workers=3, seed=9, mode=TimeDistribution.UNIFORM_SQUARE)
 @example(n=1, block=1, workers=3, seed=0, mode=TimeDistribution.UNIFORM_SQUARE)
-def test_block_size_never_changes_an_output_byte(n, block, workers, seed, mode):
+def test_block_size_never_changes_an_output_byte(report_json, n, block, workers, seed, mode):
     # nor does the number of threads the trial range is cut between
     def outputs():
         log = io.StringIO()
         report = run_simulation(config(n=n, seed=seed, mode=mode), trial_log=log)
         return (
-            report.to_json(),
+            report_json(report),
             log.getvalue(),
             simulate_chsh(*OPTIMAL, BinaryDistribution.uniform(), n, seed),
             *(lhv_baseline_chsh(*OPTIMAL, strategy, n, seed) for strategy in LhvStrategy),
@@ -702,11 +707,13 @@ class TestCountingThreads:
         assert simulation._split(1_000, count).tolist() == [1_000, 3]
         assert sorted(ranges) == [(0, 333, 4), (333, 666, 4), (666, 1_000, 4)]
 
-    def test_more_workers_than_cores_under_fast_switching_keep_the_counts(self, monkeypatch):
+    def test_more_workers_than_cores_under_fast_switching_keep_the_counts(
+        self, monkeypatch, report_json
+    ):
         def outputs(seed):
             report = run_simulation(config(n=2_000, seed=seed))
             return (
-                report.to_json(),
+                report_json(report),
                 simulate_chsh(*OPTIMAL, BinaryDistribution.uniform(), 500, seed),
                 *(lhv_baseline_chsh(*OPTIMAL, strategy, 500, seed) for strategy in LhvStrategy),
             )
