@@ -159,11 +159,7 @@ def _csv_text(rows: list[list]) -> str:
 
 def _fmt(value) -> str:
     # Human table cell, six significant digits.
-    if value is None:
-        return "undefined"
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
+    return "undefined" if value is None else format(value, ".6g")
 
 
 def _matrix_lines(label: str, entries: np.ndarray) -> list[str]:

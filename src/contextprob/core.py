@@ -119,11 +119,6 @@ class TransitionMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransitionMatrix):
-            return NotImplemented
-        return bool(np.array_equal(self.entries, other.entries))
-
     @classmethod
     def uniform(cls) -> "TransitionMatrix":
         return cls(np.full((2, 2), 0.5))

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    NORMALIZATION_TOL,
     BinaryDistribution,
     TransitionMatrix,
     interference_values,
@@ -246,12 +247,12 @@ def verify_phase_opposition(
     angles: AnglePair,
     cos_theta_plus: float,
     cos_theta_minus: float,
-    tol: float = 1e-12,
 ) -> bool:
     """Check whether a maximal-phase pair keeps one selection column normalized.
 
     Evaluates both interference entries of the ``+`` selection column with the
-    given phase cosines and tests whether they sum to 1 within ``tol``. For
+    given phase cosines and tests whether they sum to 1 within
+    ``NORMALIZATION_TOL``, as a :class:`TransitionMatrix` column must. For
     cosines of magnitude 1 this holds exactly when the two signs are opposite;
     equal signs leave a residual of magnitude ``sin(2 xi) sin(2 eta)``, far
     outside any rounding band for interior angles.
@@ -264,7 +265,8 @@ def verify_phase_opposition(
         is this function's job.)
     """
     p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
-    return bool(phase_opposition_residuals(p_ac, p_ba, cos_theta_plus, cos_theta_minus) <= tol)
+    residual = phase_opposition_residuals(p_ac, p_ba, cos_theta_plus, cos_theta_minus)
+    return bool(residual <= NORMALIZATION_TOL)
 
 
 def verify_selection_phase_flip(
@@ -272,21 +274,20 @@ def verify_selection_phase_flip(
     signs: SignConvention = DEFAULT_SIGNS,
     *,
     violate_flip: bool = False,
-    tol: float = 1e-12,
 ) -> bool:
     """Check double stochasticity of the reconstruction under the phase flip.
 
     The reconstruction assigns the ``-`` selection column the negated phase
     cosines of the ``+`` column. This function rebuilds all four entries and
-    tests that both row sums equal 1 within ``tol``, which is the signature of
-    that flip. With ``violate_flip=True`` the ``-`` column reuses the
+    tests that both row sums equal 1 within ``NORMALIZATION_TOL``, which is the
+    signature of that flip. With ``violate_flip=True`` the ``-`` column reuses the
     unflipped cosines instead; rows then sum to ``1 +/- sin(2 xi) sin(2 eta)``
     and the check fails for every nondegenerate angle pair, which makes the
     flag useful as a negative control.
     """
     p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
     entries = phase_entries(p_ac, p_ba, signs, flip_second_column=not violate_flip)
-    return bool(row_sum_residuals(entries) <= tol)
+    return bool(row_sum_residuals(entries) <= NORMALIZATION_TOL)
 
 
 def correlation_values(delta, q_plus, q_minus) -> np.ndarray:

@@ -25,9 +25,10 @@ size nor the thread count ever changes an output byte. Each word decides its
 uniform ``u = (word >> 11) * 2**-53`` exactly as ``Generator.random`` does,
 compared as an integer. The fixed-order time mode skips words 0 and 1 but
 never re-purposes them, so switching time modes leaves the (gamma, beta)
-stream untouched. The rare trial whose two time words compare equal as floats
-is re-drawn from a reserved counter range far above the trial range (offset
-``2**64``), again addressed by trial index.
+stream untouched. The rare trial whose two time words have equal ``k`` is
+re-drawn by the same ``>> 11`` word rule, from a reserved counter range far
+above the trial range (offset ``2**64``), again addressed by trial index.
+Times stay grid words ``k`` until a trace prints them as ``k * 2**-53``.
 
 Four-setting scans derive one child seed per setting pair from the root seed,
 so the pairs are independent but the whole scan replays from a single integer.
@@ -226,28 +227,28 @@ def _split(n: int, count):
     return sum(results)
 
 
-def _ordered_times(
-    key: np.ndarray,
-    lo: int,
-    bits: np.ndarray,
-    time_distribution: TimeDistribution,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    m = bits.shape[0]
-    if time_distribution is TimeDistribution.FIXED_ORDER:
-        return np.zeros(m), np.ones(m), 0
-    t1 = bits[:, 0] * _UNIT
-    t2 = bits[:, 1] * _UNIT
+def _redraw_ties(key: np.ndarray, lo: int, bits: np.ndarray, mode: TimeDistribution) -> int:
+    # Re-draw each trial whose two time words tie, in place, by the same
+    # ``>> 11`` rule from its own stream, disjoint from every trial block (trial
+    # counters are below 2**64), until they differ. Returns the pairs drawn.
+    if mode is TimeDistribution.FIXED_ORDER:
+        return 0
     n_redraws = 0
-    for row in np.flatnonzero(t1 == t2).tolist():
-        # Redraw the tie from its own stream, disjoint from every trial block
-        # (trial counters are below 2**64), until the two doubles differ.
-        counter = _REDRAW_COUNTER_BASE + lo + row
-        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
-        n_redraws += 1
-        while (times := gen.random(2))[0] == times[1]:
+    for row in np.flatnonzero(bits[:, 0] == bits[:, 1]).tolist():
+        bitgen = np.random.Philox(key=key, counter=_REDRAW_COUNTER_BASE + lo + row)
+        while bits[row, 0] == bits[row, 1]:
+            bits[row, :2] = _uniform_bits(bitgen.random_raw(2).reshape(1, 2))[0]
             n_redraws += 1
-        t1[row], t2[row] = times
-    return np.minimum(t1, t2), np.maximum(t1, t2), n_redraws
+    return n_redraws
+
+
+def _event_times(bits: np.ndarray, mode: TimeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    # (selection, measurement) times once _redraw_ties has untied the words; scaling
+    # by 2**-53 is exact, so the gap is exactly (max - min) * 2**-53
+    if mode is TimeDistribution.FIXED_ORDER:
+        return np.zeros(bits.shape[0]), np.ones(bits.shape[0])
+    t0, t1 = bits[:, 0] * _UNIT, bits[:, 1] * _UNIT
+    return np.minimum(t0, t1), np.maximum(t0, t1)
 
 
 def _write_trial_lines(
@@ -289,13 +290,10 @@ def _simulate_counts(
             cells = beta_minus.view(np.uint8) << 1  # row-major index into the cells
             cells |= gamma_minus.view(np.uint8)
             totals[:4] += np.bincount(cells, minlength=4)
+            totals[4] += _redraw_ties(key, lo, bits, time_distribution)
             if trial_log is not None:
-                t_sel, t_meas, draws = _ordered_times(key, lo, bits, time_distribution)
+                t_sel, t_meas = _event_times(bits, time_distribution)
                 _write_trial_lines(trial_log, t_sel, t_meas, gamma_minus, beta_minus)
-                totals[4] += draws
-            elif time_distribution is TimeDistribution.UNIFORM_SQUARE:
-                if np.any(bits[:, 0] == bits[:, 1]):  # a tie, rare: only its redraws count
-                    totals[4] += _ordered_times(key, lo, bits, time_distribution)[2]
         return totals
 
     # trace lines go out in trial order, from one thread
@@ -349,8 +347,8 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
     gap_min = math.inf
     gap_max = -math.inf
     for lo, bits in _word_blocks(key, 0, n, _BLOCK):
-        t_sel, t_meas, redraws = _ordered_times(key, lo, bits, config.time_distribution)
-        n_redraws += redraws
+        n_redraws += _redraw_ties(key, lo, bits, config.time_distribution)
+        t_sel, t_meas = _event_times(bits, config.time_distribution)
         gaps = t_meas - t_sel
         total += float(gaps.sum())
         total_sq += float((gaps * gaps).sum())

@@ -35,6 +35,7 @@ from contextprob import (
 )
 from contextprob.cli import main
 from contextprob.core import row_sum_residuals
+from contextprob.eprbohm import angle_matrices, phase_entries
 
 OPTIMAL = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
@@ -106,12 +107,14 @@ def test_criterion_3_phase_flip_double_stochasticity():
     for _ in range(100):
         xi, eta = rng.uniform(0.1, math.pi / 2.0 - 0.1, size=2)
         angles = AnglePair(float(xi), float(eta))
-        holds = holds and verify_selection_phase_flip(angles, tol=1e-12)
+        holds = holds and verify_selection_phase_flip(angles)
         recon = reconstruct_via_interference(angles)
         worst_row_residual = max(
             worst_row_residual, float(row_sum_residuals(recon.entries))
         )
-        violated = not verify_selection_phase_flip(angles, violate_flip=True, tol=1e-3)
+        p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
+        unflipped = phase_entries(p_ac, p_ba, DEFAULT_SIGNS, flip_second_column=False)
+        violated = row_sum_residuals(unflipped) > 1e-3
         min_violation = min(
             min_violation, math.sin(2.0 * angles.xi) * math.sin(2.0 * angles.eta)
         )

@@ -23,7 +23,7 @@ from contextprob import (
     incompatibility_coefficient,
     interference_probability,
 )
-from contextprob.core import row_sum_residuals
+from contextprob.core import interference_values, row_sum_residuals
 
 
 def random_prior(rng):
@@ -65,6 +65,11 @@ class TestBinaryDistribution:
         with pytest.raises(InvalidDistribution):
             BinaryDistribution.from_p_plus(1.5)
 
+    @pytest.mark.parametrize("weights", [(math.inf, 0.0), (0.5, math.nan), (-math.inf, 1.0)])
+    def test_rejects_non_finite_weight(self, weights):
+        with pytest.raises(InvalidDistribution, match="finite"):
+            BinaryDistribution(*weights)
+
     def test_degenerate_endpoints_allowed(self):
         assert BinaryDistribution(1.0, 0.0).prob(MINUS) == 0.0
 
@@ -97,6 +102,11 @@ class TestTransitionMatrix:
     def test_rejects_entry_outside_unit_interval(self):
         with pytest.raises(InvalidMatrix):
             TransitionMatrix(np.array([[1.2, 0.5], [-0.2, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(InvalidMatrix, match="finite"):
+            TransitionMatrix(np.array([[bad, 0.5], [0.5, 0.5]]))
 
     def test_entries_frozen(self):
         m = TransitionMatrix.uniform()
@@ -294,6 +304,16 @@ class TestInterferenceProbability:
         # the opposite result has zero path weights: the correction vanishes
         # and the classical 0 comes back untouched
         assert interference_probability(prior, m, MINUS, 0.0) == 0.0
+
+    def test_guard_band_edges_snap_and_one_ulp_past_them_raises(self):
+        # zero path weights leave the classical value, t_plus itself, untouched
+        top, bottom = 1.0 + BOUNDARY_GUARD, -BOUNDARY_GUARD
+        assert interference_values(1.0, top, 0.0, 0.0, 0.0) == 1.0
+        assert interference_values(1.0, bottom, 0.0, 0.0, 0.0) == 0.0
+        with pytest.raises(OutOfRangeProbability, match="exceeds 1"):
+            interference_values(1.0, math.nextafter(top, 2.0), 0.0, 0.0, 0.0)
+        with pytest.raises(OutOfRangeProbability, match="below 0"):
+            interference_values(1.0, math.nextafter(bottom, -1.0), 0.0, 0.0, 0.0)
 
     def test_coefficient_round_trip(self):
         # interference then coefficient recovers cos(theta), provided the

@@ -60,6 +60,10 @@ class TestSimConfig:
         with pytest.raises(InvalidCount):
             config(n=-5)
 
+    def test_rejects_a_time_mode_that_is_not_the_enum(self):
+        with pytest.raises(PreconditionViolation, match="TimeDistribution"):
+            config(mode="uniform-square")
+
     def test_rejects_seed_outside_64_bits(self):
         with pytest.raises(PreconditionViolation):
             config(seed=1 << 64)
@@ -444,9 +448,9 @@ class TestCountingKernel:
         )
         bits = simulation._uniform_bits(raw)
         key = simulation._philox_key(1)
-        t_sel, t_meas, redraws = simulation._ordered_times(
-            key, 10, bits, TimeDistribution.UNIFORM_SQUARE
-        )
+        mode = TimeDistribution.UNIFORM_SQUARE
+        redraws = simulation._redraw_ties(key, 10, bits, mode)
+        t_sel, t_meas = simulation._event_times(bits, mode)
         # the first and last rows are equal doubles, the middle one is not
         own = (w >> 11) * 2.0**-53
         assert [row for row in range(3) if own not in (t_sel[row], t_meas[row])] == [0, 2]
@@ -466,6 +470,65 @@ class TestCountingKernel:
         # an untied row keeps its own words' doubles
         ends = sorted(((w >> 11) * 2.0**-53, ((w ^ 0x800) >> 11) * 2.0**-53))
         assert [t_sel[1], t_meas[1]] == ends
+
+    def test_a_redraw_that_ties_again_draws_the_next_pair(self, monkeypatch):
+        uniform_bits, pairs = simulation._uniform_bits, []
+
+        def tie_trial_0_twice(raw):
+            bits = uniform_bits(raw)
+            if bits.shape[1] == 4:
+                bits[0, 1] = bits[0, 0]  # the block's first trial ties
+            else:
+                pairs.append(bits[0].tolist())
+                if len(pairs) == 1:
+                    bits[0, 1] = bits[0, 0]  # and so does its first redraw pair
+            return bits
+
+        monkeypatch.setattr(simulation, "_uniform_bits", tie_trial_0_twice)
+        log = io.StringIO()
+        report = run_simulation(config(n=5, seed=8), trial_log=log)
+        assert report.n_redraws == 2
+        # the second pair is words 2 and 3 of trial 0's redraw stream
+        key = simulation._philox_key(8)
+        raw = np.random.Philox(key=key, counter=2**64).random_raw(4)
+        assert pairs[1] == (raw[2:] >> np.uint64(11)).tolist()
+        first = json.loads(log.getvalue().splitlines()[0])
+        assert [first["t_selection"], first["t_measurement"]] == sorted(
+            k * 2.0**-53 for k in pairs[1]
+        )
+
+    @pytest.mark.parametrize("step", [0, 1])
+    @pytest.mark.parametrize("seed", [3, 2024])
+    def test_a_word_on_its_threshold_decides_like_generator_random(self, seed, step):
+        # u < p is false at u == p: trial 0's gamma and beta words sitting exactly
+        # on their thresholds both give -1, and one word below them both give +1
+        key = simulation._philox_key(seed)
+        k = simulation._uniform_bits(np.random.Philox(key=key).random_raw(4)).tolist()
+        u = np.random.Generator(np.random.Philox(key=key)).random(4)
+        assert u[2:].tolist() == [k[2] * 2.0**-53, k[3] * 2.0**-53]
+        q, p = (k[2] + step) * 2.0**-53, (k[3] + step) * 2.0**-53
+        cond = np.array([[p, p], [1.0 - p, 1.0 - p]])
+        counts, _ = simulation._simulate_counts(cond, q, 1, key, TimeDistribution.FIXED_ORDER)
+        assert counts.tolist() == ([[0, 0], [0, 1]] if step == 0 else [[1, 0], [0, 0]])
+
+    def test_a_coin_word_on_one_half_says_minus(self, monkeypatch):
+        # Generator.random() < 0.5 is false at exactly 0.5
+        uniform_bits, calls = simulation._uniform_bits, []
+
+        def half_first(raw):
+            bits = uniform_bits(raw)
+            if not calls:
+                bits[0] = 2**52  # side a's first word
+            calls.append(bits.shape)
+            return bits
+
+        monkeypatch.setattr(simulation, "_uniform_bits", half_first)
+        monkeypatch.setattr(simulation, "_WORKERS", 1)
+        for seed in range(4):
+            calls.clear()
+            key = simulation._philox_key(seed)
+            u_b = np.random.Generator(np.random.Philox(key=key)).random(2)[1]
+            assert simulation._coin_agreements(0.0, 0.0, 1, key) == int(u_b >= 0.5)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_forced_ties_count_the_same_redraws_with_and_without_a_trace(
