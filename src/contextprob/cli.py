@@ -133,8 +133,6 @@ def _jsonable(obj):
         return {key: _jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(value) for value in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj

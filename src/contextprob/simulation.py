@@ -17,14 +17,15 @@ Trial ``i`` owns the four 64-bit words at counter ``i`` (one Philox block):
     word 3: uniform deciding beta
 
 Because block ``i`` is addressable directly, the trial range can be cut at
-any trial boundary without changing a single outcome. Counting runs on up to
-two threads, one per contiguous trial range, and adds their integer counts;
-trace writing stays on one thread. Trials go in blocks of a fixed internal
-size, so peak memory does not grow with the trial count; neither the block
-size nor the thread count ever changes an output byte. Each word decides its
-uniform ``u = (word >> 11) * 2**-53`` exactly as ``Generator.random`` does,
-compared as an integer. The fixed-order time mode skips words 0 and 1 but
-never re-purposes them, so switching time modes leaves the (gamma, beta)
+any trial boundary without changing a single outcome. Counting and the gap
+statistics run on up to two threads, one per contiguous trial range, whose
+exact integer sums and extremes are combined in range order; trace writing
+stays on one thread. Trials go in blocks of a fixed internal size, so peak
+memory does not grow with the trial count; neither the block size nor the
+thread count ever changes an output byte or a returned bit. Each word decides
+its uniform ``u = (word >> 11) * 2**-53`` exactly as ``Generator.random``
+does, compared as an integer. The fixed-order time mode skips words 0 and 1
+but never re-purposes them, so switching time modes leaves the (gamma, beta)
 stream untouched. The rare trial whose two time words have equal ``k`` is
 re-drawn by the same ``>> 11`` word rule, from a reserved counter range far
 above the trial range (offset ``2**64``), again addressed by trial index.
@@ -59,6 +60,7 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 _MANTISSA_SHIFT = np.uint64(11)
 _UNIT = 2.0**-53  # Generator.random() is (word >> 11) * _UNIT
 _REDRAW_COUNTER_BASE = 1 << 64
+_LIMBS = np.array([[0], [18], [36]], dtype=np.uint64)  # shifts of a gap word's limbs
 
 
 class TimeDistribution(Enum):
@@ -145,7 +147,11 @@ class SimReport:
 
 @dataclass(frozen=True)
 class TimeOrderStats:
-    """Summary of the ordered time pairs of one configuration."""
+    """Summary of the ordered time pairs of one configuration.
+
+    The gap moments are exact, each rounded once, whatever the block size or
+    thread count.
+    """
 
     n_pairs: int
     n_redraws: int
@@ -201,12 +207,12 @@ def _word_blocks(key: np.ndarray, start: int, stop: int, block: int, width=4, fi
         yield lo, _uniform_bits(bitgen.random_raw(width * m).reshape(m, width))
 
 
-def _split(n: int, count):
-    # The exact integer sum of count(start, stop, block) over _WORKERS contiguous
-    # ranges of 0 .. n - 1, the first run on this thread and each other on its own,
-    # in blocks of ceil(_BLOCK / _WORKERS) trials: one block's words in flight in all.
+def _split(n: int, count) -> list:
+    # count(start, stop, block) for each of _WORKERS contiguous ranges of 0 .. n - 1,
+    # in range order, the first run on this thread and each other on its own, in
+    # blocks of ceil(_BLOCK / _WORKERS) trials: one block's words in flight in all.
     workers = _WORKERS
-    results, failures = [0] * workers, []
+    results, failures = [None] * workers, []
 
     def run(w: int) -> None:
         try:
@@ -224,7 +230,7 @@ def _split(n: int, count):
         thread.join()
     if failures:
         raise failures[0]
-    return sum(results)
+    return results
 
 
 def _redraw_ties(key: np.ndarray, lo: int, bits: np.ndarray, mode: TimeDistribution) -> int:
@@ -297,7 +303,7 @@ def _simulate_counts(
         return totals
 
     # trace lines go out in trial order, from one thread
-    totals = count(0, n, _BLOCK) if trial_log is not None else _split(n, count)
+    totals = count(0, n, _BLOCK) if trial_log is not None else sum(_split(n, count))
     return totals[:4].reshape(2, 2), int(totals[4])
 
 
@@ -334,37 +340,35 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
     """Gap statistics of the ordered time pairs, without touching outcomes.
 
     Replays exactly the time words of :func:`run_simulation` for ``config``
-    (same seed, same redraw resolution) and accumulates the measurement minus
-    selection gaps. In the fixed-order mode every gap is 1 and there are no
-    redraws. In the uniform-square mode the gap is the absolute difference of
-    two independent uniforms, with mean 1/3 and variance 1/18.
+    (same seed, same redraw resolution) and sums the gaps ``d * 2**-53`` as
+    exact integers ``d``. In the fixed-order mode every gap is 1 and there are
+    no redraws. In the uniform-square mode the gap is the absolute difference
+    of two independent uniforms, with mean 1/3 and variance 1/18.
     """
     key = _philox_key(config.seed)
-    n = config.n_pairs
-    n_redraws = 0
-    total = 0.0
-    total_sq = 0.0
-    gap_min = math.inf
-    gap_max = -math.inf
-    for lo, bits in _word_blocks(key, 0, n, _BLOCK):
-        n_redraws += _redraw_ties(key, lo, bits, config.time_distribution)
-        t_sel, t_meas = _event_times(bits, config.time_distribution)
-        gaps = t_meas - t_sel
-        total += float(gaps.sum())
-        total_sq += float((gaps * gaps).sum())
-        gap_min = min(gap_min, float(gaps.min()))
-        gap_max = max(gap_max, float(gaps.max()))
-    mean = total / n
-    variance = max(total_sq / n - mean * mean, 0.0)
-    return TimeOrderStats(
-        n_pairs=n,
-        n_redraws=n_redraws,
-        redraw_fraction=n_redraws / n,
-        mean_gap=mean,
-        std_gap=math.sqrt(variance),
-        min_gap=gap_min,
-        max_gap=gap_max,
-    )
+    n, mode = config.n_pairs, config.time_distribution
+
+    def count(start: int, stop: int, block: int) -> tuple:
+        # d < 2**54 in three 18-bit limbs: each limb product is below 2**36, so
+        # no block under 2**28 trials wraps the uint64 sums of the nine products
+        redraws, s1, s2, low, high = 0, 0, 0, math.inf, -math.inf
+        for lo, bits in _word_blocks(key, start, stop, block):
+            redraws += _redraw_ties(key, lo, bits, mode)
+            t_sel, t_meas = _event_times(bits, mode)
+            gaps = t_meas - t_sel
+            limbs = ((gaps * 2.0**53).astype(np.uint64) >> _LIMBS) & np.uint64(2**18 - 1)
+            sums, pairs = limbs.sum(axis=1).tolist(), (limbs @ limbs.T).tolist()
+            s1 += sum(v << 18 * i for i, v in enumerate(sums))
+            s2 += sum(v << 18 * (i + j) for i, row in enumerate(pairs) for j, v in enumerate(row))
+            low, high = min(low, float(gaps.min())), max(high, float(gaps.max()))
+        return redraws, s1, s2, low, high
+
+    redraws, s1, s2, low, high = zip(*_split(n, count))
+    n_redraws, s1, s2 = sum(redraws), sum(s1), sum(s2)
+    # each moment rounds once, from an exact rational (the variance's numerator is >= 0)
+    return TimeOrderStats(n, n_redraws, n_redraws / n, mean_gap=s1 / (n << 53),
+                          std_gap=math.sqrt((n * s2 - s1 * s1) / (n * n << 106)),
+                          min_gap=min(low), max_gap=max(high))
 
 
 _FLIP_CELLS = 4096  # cells per pass of the search for sign flips
@@ -457,7 +461,7 @@ def _sign_agreements(x: tuple, y: tuple, n: int, key: np.ndarray) -> int:
                 even += passed if i % 2 else -passed
         return even
 
-    even = _split(n, count)
+    even = sum(_split(n, count))
     return even if start_x == start_y else n - even
 
 
@@ -470,7 +474,7 @@ def _coin_agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
                     _word_blocks(key, start, stop, block, width=1, first_word=n))
         return sum(int(np.count_nonzero((a >= half) == (b >= half))) for (_, a), (_, b) in sides)
 
-    return _split(n, count)
+    return sum(_split(n, count))
 
 
 def lhv_baseline_chsh(

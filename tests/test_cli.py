@@ -21,6 +21,7 @@ from contextprob import (
     BinaryDistribution,
     LhvStrategy,
     SimConfig,
+    SignConvention,
     SimReport,
     TimeDistribution,
     cli,
@@ -491,6 +492,11 @@ class TestParserBasics:
         )
         assert code == 2
 
+    def test_non_integer_count_names_the_text(self, capsys):
+        code, out, err = run(capsys, "simulate", "--xi", "1.0", "--eta", "0.5", "--n", "x")
+        assert (code, out) == (2, "")
+        assert "not an integer: 'x'" in err
+
     def test_bad_seed_exits_two(self, capsys):
         code, _, _ = run(
             capsys, "simulate", "--xi", "1.0", "--eta", "0.5", "--n", "10",
@@ -713,6 +719,14 @@ class TestJsonConverter:
             "seed": 7,
             "time_distribution": text,
         }
+
+    @pytest.mark.parametrize("value, text", [
+        (BinaryDistribution(1, 0), '{"p_plus": 1.0, "p_minus": 0.0}'),
+        (AnglePair(1, 1), '{"xi": 1.0, "eta": 1.0}'),
+        (SignConvention(-1, 1), '{"cos_theta_plus": -1.0, "cos_theta_minus": 1.0}'),
+    ])
+    def test_integer_arguments_are_stored_and_written_as_floats(self, value, text):
+        assert json.dumps(cli._jsonable(value)) == text
 
     def test_plain_value_objects_convert_as_asdict(self):
         for signs in (DEFAULT_SIGNS, DEFAULT_SIGNS.flipped()):

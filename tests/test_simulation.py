@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,6 +201,12 @@ class TestSimReport:
         assert report.estimated_correlation == (2 * 3 - 10) / 10
         assert report.n_redraws == 2
 
+    def test_a_numpy_redraw_count_is_stored_as_a_plain_int(self, report_json):
+        # the JSON writer converts no numpy scalar: here is where one becomes an int
+        report = SimReport(np.array([[3, 0], [7, 0]]), np.int64(2), config(n=10))
+        assert type(report.n_redraws) is int
+        assert json.loads(report_json(report))["n_redraws"] == 2
+
     def test_empty_column_is_nan(self):
         report = SimReport(np.array([[0, 3], [0, 7]]), 0, config(n=10))
         assert np.isnan(report.estimated_conditionals[:, 0]).all()
@@ -237,15 +244,13 @@ class TestTimeOrderStatistics:
         assert stats.n_redraws == 0
 
     def test_chunking_moves_moments_by_rounding_only(self, monkeypatch):
+        # the moments are rounded once from exact integer sums, so that rounding
+        # is the same for every cut of the trials: not one bit moves
         a = time_order_statistics(config(n=30_000, seed=5))
-        monkeypatch.setattr(simulation, "_BLOCK", 2_728)
-        b = time_order_statistics(config(n=30_000, seed=5))
-        # per-gap data is identical; the accumulated moments may differ in
-        # the last bit because float addition is not associative
-        assert a.min_gap == b.min_gap and a.max_gap == b.max_gap
-        assert a.n_redraws == b.n_redraws
-        assert a.mean_gap == pytest.approx(b.mean_gap, rel=1e-14)
-        assert a.std_gap == pytest.approx(b.std_gap, rel=1e-12)
+        for block, workers in [(2_728, 1), (2_728, 2), (1_000, 3)]:
+            monkeypatch.setattr(simulation, "_BLOCK", block)
+            monkeypatch.setattr(simulation, "_WORKERS", workers)
+            assert time_order_statistics(config(n=30_000, seed=5)) == a
 
     def test_redraws_are_rare_and_counted(self):
         stats = time_order_statistics(config(n=1_000_000, seed=42))
@@ -512,23 +517,24 @@ class TestCountingKernel:
         assert counts.tolist() == ([[0, 0], [0, 1]] if step == 0 else [[1, 0], [0, 0]])
 
     def test_a_coin_word_on_one_half_says_minus(self, monkeypatch):
-        # Generator.random() < 0.5 is false at exactly 0.5
-        uniform_bits, calls = simulation._uniform_bits, []
+        # Generator.random() < 0.5 is false at exactly 0.5, on either side
+        uniform_bits, calls, half_side = simulation._uniform_bits, [], []
 
         def half_first(raw):
             bits = uniform_bits(raw)
-            if not calls:
-                bits[0] = 2**52  # side a's first word
+            if len(calls) == half_side[0]:
+                bits[0] = 2**52  # that side's first word: side a draws first
             calls.append(bits.shape)
             return bits
 
         monkeypatch.setattr(simulation, "_uniform_bits", half_first)
         monkeypatch.setattr(simulation, "_WORKERS", 1)
-        for seed in range(4):
+        for side, seed in itertools.product((0, 1), range(4)):
             calls.clear()
+            half_side[:] = [side]
             key = simulation._philox_key(seed)
-            u_b = np.random.Generator(np.random.Philox(key=key)).random(2)[1]
-            assert simulation._coin_agreements(0.0, 0.0, 1, key) == int(u_b >= 0.5)
+            u_other = np.random.Generator(np.random.Philox(key=key)).random(2)[1 - side]
+            assert simulation._coin_agreements(0.0, 0.0, 1, key) == int(u_other >= 0.5)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_forced_ties_count_the_same_redraws_with_and_without_a_trace(
@@ -551,6 +557,69 @@ class TestCountingKernel:
         untraced = run_simulation(config(n=3_000, seed=4))
         assert report_json(untraced) == report_json(traced)
         assert untraced.n_redraws > 300
+
+    def test_forced_ties_are_never_redrawn_in_fixed_order(self, monkeypatch, report_json):
+        # the fixed order reads no time word, so a tie there is no tie at all
+        cfg = config(n=3_000, seed=4, mode=TimeDistribution.FIXED_ORDER)
+        expected = run_simulation(cfg)
+        uniform_bits = simulation._uniform_bits
+
+        def tie_every_trial(raw):
+            bits = uniform_bits(raw)
+            if bits.shape[1] == 4:
+                bits[:, 1] = bits[:, 0]
+            return bits
+
+        monkeypatch.setattr(simulation, "_uniform_bits", tie_every_trial)
+        report, stats = run_simulation(cfg), time_order_statistics(cfg)
+        assert report.n_redraws == stats.n_redraws == 0
+        assert report_json(report) == report_json(expected)
+        assert stats.min_gap == stats.max_gap == 1.0
+
+    def test_a_forced_tie_is_redrawn_for_the_gap_statistics_too(self, monkeypatch):
+        uniform_bits = simulation._uniform_bits
+
+        def tie_trial_0(raw):
+            bits = uniform_bits(raw)
+            if bits.shape[1] == 4:
+                bits[0, 1] = bits[0, 0]  # the block's first trial ties
+            return bits
+
+        monkeypatch.setattr(simulation, "_uniform_bits", tie_trial_0)
+        monkeypatch.setattr(simulation, "_WORKERS", 1)
+        cfg, log = config(n=5, seed=8), io.StringIO()
+        report, stats = run_simulation(cfg, trial_log=log), time_order_statistics(cfg)
+        assert stats.n_redraws == report.n_redraws == 1
+        d = trace_gap_words(log.getvalue())
+        assert stats.min_gap == min(d) * 2.0**-53 > 0.0
+        assert stats.max_gap == max(d) * 2.0**-53
+        assert stats.mean_gap == float(Fraction(sum(d), 5 << 53))
+
+    @pytest.mark.parametrize("x, y", [(0.3, 1.7), (-2.0, 0.9)])
+    def test_a_hidden_angle_word_on_a_sign_threshold_decides_like_the_cosine(
+        self, monkeypatch, x, y
+    ):
+        # cos(x - hidden) >= 0 has already changed sign at the threshold word t itself
+        uniform_bits, word = simulation._uniform_bits, []
+
+        def put_word(raw):
+            bits = uniform_bits(raw)
+            if bits.shape[1] == 1:
+                bits[0] = word[0]  # the one trial's hidden-angle word
+            return bits
+
+        monkeypatch.setattr(simulation, "_uniform_bits", put_word)
+        monkeypatch.setattr(simulation, "_WORKERS", 1)
+        sides = simulation._sign_flips(x), simulation._sign_flips(y)
+        key = simulation._philox_key(1)
+        for t in sides[0][1] + sides[1][1]:
+            agree = []
+            for k in (t - 1, t):
+                word[:] = [k]
+                cos_x, cos_y = (np.cos(v - k * 2.0**-53 * (2.0 * math.pi)) >= 0.0 for v in (x, y))
+                agree.append(simulation._sign_agreements(*sides, 1, key))
+                assert agree[-1] == int(cos_x == cos_y)
+            assert agree[0] != agree[1]  # one side flips at t, the other does not
 
     @pytest.mark.parametrize("angles", SETTINGS_OF_EVERY_MAGNITUDE)
     def test_sign_flips_are_searched_once_per_setting(self, monkeypatch, angles):
@@ -629,6 +698,7 @@ def test_block_size_never_changes_an_output_byte(report_json, n, block, workers,
             log.getvalue(),
             simulate_chsh(*OPTIMAL, BinaryDistribution.uniform(), n, seed),
             *(lhv_baseline_chsh(*OPTIMAL, strategy, n, seed) for strategy in LhvStrategy),
+            *(time_order_statistics(config(n=n, seed=seed, mode=m)) for m in TimeDistribution),
         )
 
     with pytest.MonkeyPatch.context() as mp:
@@ -637,6 +707,42 @@ def test_block_size_never_changes_an_output_byte(report_json, n, block, workers,
         mp.setattr(simulation, "_BLOCK", block)
         mp.setattr(simulation, "_WORKERS", workers)
         assert outputs() == reference
+
+
+def trace_gap_words(text):
+    # each trace line's gap as its exact integer word d = (t_measurement - t_selection) * 2**53
+    words = []
+    for line in text.splitlines():
+        record = json.loads(line)
+        d = (Fraction(record["t_measurement"]) - Fraction(record["t_selection"])) * 2**53
+        assert d.denominator == 1
+        words.append(int(d))
+    return words
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 2_000),
+    block=st.integers(1, 2_048),
+    workers=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**64 - 1),
+    mode=st.sampled_from(TimeDistribution),
+)
+@example(n=1, block=1, workers=3, seed=0, mode=TimeDistribution.UNIFORM_SQUARE)
+@example(n=101, block=100, workers=2, seed=5, mode=TimeDistribution.FIXED_ORDER)
+def test_gap_moments_are_the_exact_trace_moments_rounded_once(n, block, workers, seed, mode):
+    cfg, log = config(n=n, seed=seed, mode=mode), io.StringIO()
+    report = run_simulation(cfg, trial_log=log)
+    d = trace_gap_words(log.getvalue())
+    s1, s2 = sum(d), sum(x * x for x in d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_BLOCK", block)
+        mp.setattr(simulation, "_WORKERS", workers)
+        stats = time_order_statistics(cfg)
+    assert stats.mean_gap == s1 / (n << 53) == float(Fraction(s1, n << 53))
+    assert stats.std_gap == math.sqrt((n * s2 - s1 * s1) / (n * n << 106))
+    assert stats.min_gap == min(d) * 2.0**-53 and stats.max_gap == max(d) * 2.0**-53
+    assert stats.n_redraws == report.n_redraws
 
 
 finite_settings = st.floats(allow_nan=False, allow_infinity=False)
@@ -767,7 +873,10 @@ class TestCountingThreads:
             ranges.append((start, stop, block))
             return np.array([stop - start, 1])
 
-        assert simulation._split(1_000, count).tolist() == [1_000, 3]
+        results = simulation._split(1_000, count)
+        assert sum(results).tolist() == [1_000, 3]
+        # one result per range, in range order whichever thread finished first
+        assert [result.tolist() for result in results] == [[333, 1], [333, 1], [334, 1]]
         assert sorted(ranges) == [(0, 333, 4), (333, 666, 4), (666, 1_000, 4)]
 
     def test_more_workers_than_cores_under_fast_switching_keep_the_counts(

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from contextprob import (
     AnglePair,
     BinaryDistribution,
+    InvalidCount,
     LhvStrategy,
     PreconditionViolation,
     SimConfig,
@@ -235,24 +236,35 @@ class TestMatchesThePerSampleLoop:
             assert type(check.n_samples) is int
 
 
+ENTRY_POINTS = ["run_property_suite", "SimConfig", "simulate_chsh", "lhv_baseline_chsh"]
+
+
+def call_entry_point(entry, count, seed):
+    quadruple, uniform = (0.0, 0.5, 0.25, 0.75), BinaryDistribution.uniform()
+    return {
+        "run_property_suite": lambda: run_property_suite(count, seed),
+        "SimConfig": lambda: SimConfig(AnglePair(1.0, 0.5), uniform, count, seed),
+        "simulate_chsh": lambda: simulate_chsh(*quadruple, uniform, count, seed),
+        "lhv_baseline_chsh": lambda: lhv_baseline_chsh(
+            *quadruple, LhvStrategy.RANDOM_LOCAL, count, seed
+        ),
+    }[entry]()
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True, 2**70])
-@pytest.mark.parametrize("entry", ["run_property_suite", "SimConfig", "simulate_chsh",
-                                   "lhv_baseline_chsh"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_rejects_a_seed_outside_the_64_bit_integers(seed, entry):
     # One check, errors.require_seed, guards every seeded entry point.
-    quadruple = (0.0, 0.5, 0.25, 0.75)
-    call = {
-        "run_property_suite": lambda: run_property_suite(5, seed),
-        "SimConfig": lambda: SimConfig(AnglePair(1.0, 0.5), BinaryDistribution.uniform(),
-                                       10, seed),
-        "simulate_chsh": lambda: simulate_chsh(*quadruple, BinaryDistribution.uniform(),
-                                               10, seed),
-        "lhv_baseline_chsh": lambda: lhv_baseline_chsh(
-            *quadruple, LhvStrategy.RANDOM_LOCAL, 10, seed
-        ),
-    }[entry]
     with pytest.raises(PreconditionViolation, match="seed must"):
-        call()
+        call_entry_point(entry, 5, seed)
+
+
+@pytest.mark.parametrize("count", [0, -1, 1.5, True, "x"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_rejects_a_count_that_is_not_a_positive_integer(count, entry):
+    # One check, errors.require_count, guards every counted entry point.
+    with pytest.raises(InvalidCount, match="must be a positive integer"):
+        call_entry_point(entry, count, 1)
 
 
 @settings(max_examples=30, deadline=None)
