@@ -149,8 +149,9 @@ class SimReport:
 class TimeOrderStats:
     """Summary of the ordered time pairs of one configuration.
 
-    The gap moments are exact, each rounded once, whatever the block size or
-    thread count.
+    The gap moments come from exact integer sums: ``mean_gap`` is the exact
+    mean rounded once and ``std_gap`` the square root of the once-rounded
+    exact variance, whatever the block size or thread count.
     """
 
     n_pairs: int
@@ -365,7 +366,7 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
 
     redraws, s1, s2, low, high = zip(*_split(n, count))
     n_redraws, s1, s2 = sum(redraws), sum(s1), sum(s2)
-    # each moment rounds once, from an exact rational (the variance's numerator is >= 0)
+    # mean and variance round once from exact rationals (numerator >= 0); sqrt rounds again
     return TimeOrderStats(n, n_redraws, n_redraws / n, mean_gap=s1 / (n << 53),
                           std_gap=math.sqrt((n * s2 - s1 * s1) / (n * n << 106)),
                           min_gap=min(low), max_gap=max(high))

@@ -244,8 +244,8 @@ class TestTimeOrderStatistics:
         assert stats.n_redraws == 0
 
     def test_chunking_moves_moments_by_rounding_only(self, monkeypatch):
-        # the moments are rounded once from exact integer sums, so that rounding
-        # is the same for every cut of the trials: not one bit moves
+        # the moments are rounded from exact integer sums, so that rounding is
+        # the same for every cut of the trials: not one bit moves
         a = time_order_statistics(config(n=30_000, seed=5))
         for block, workers in [(2_728, 1), (2_728, 2), (1_000, 3)]:
             monkeypatch.setattr(simulation, "_BLOCK", block)
@@ -730,7 +730,7 @@ def trace_gap_words(text):
 )
 @example(n=1, block=1, workers=3, seed=0, mode=TimeDistribution.UNIFORM_SQUARE)
 @example(n=101, block=100, workers=2, seed=5, mode=TimeDistribution.FIXED_ORDER)
-def test_gap_moments_are_the_exact_trace_moments_rounded_once(n, block, workers, seed, mode):
+def test_gap_moments_come_from_the_exact_trace_sums(n, block, workers, seed, mode):
     cfg, log = config(n=n, seed=seed, mode=mode), io.StringIO()
     report = run_simulation(cfg, trial_log=log)
     d = trace_gap_words(log.getvalue())

@@ -7,10 +7,10 @@ Two kinds of mutant are made from the named source files:
                == and !=, is and is not, in and not in)
 
 Each mutant is written into a temporary copy of the repository, where the
-named test files run with ``pytest -x`` under a timeout. One JSON line per
-mutant goes to ``--out`` (or stdout): its file, line, kind, the code it
-changed, and whether it was killed (a test failed), survived (every test
-passed) or timed out. A summary per file goes to stderr at the end.
+named test files run with ``pytest -x`` under a 300 s timeout. One JSON line
+per mutant goes to stdout: its file, line, kind, the code it changed, and
+whether it was killed (a test failed), survived (every test passed) or timed
+out. A summary per file goes to stderr at the end.
 
 The score is a trajectory, not a gate: a surviving mutant marks either a
 missing test or code that nothing needs. Standard library only; the tests
@@ -19,16 +19,13 @@ run in a child interpreter, so pytest must be importable there.
 Run from the repository root, for example:
 
     python tools/mutate.py src/contextprob/core.py \\
-        --tests tests/test_core.py tests/test_acceptance.py --out core.jsonl
-    python tools/mutate.py src/contextprob/simulation.py --kind compare \\
-        --lines 200-260,400 --tests tests/test_simulation.py
+        --tests tests/test_core.py tests/test_acceptance.py
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import contextlib
 import json
 import os
 import shutil
@@ -47,6 +44,7 @@ SPELLING = {
 _PAIRS = [(ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq), (ast.Is, ast.IsNot),
           (ast.In, ast.NotIn)]
 SWAPS = {a: b for pair in _PAIRS for a, b in (pair, pair[::-1])}
+TIMEOUT = 300.0  # seconds per test run
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.pyc")
 
 
@@ -85,8 +83,8 @@ def _statements(node: ast.AST, inside: bool = False):
                                                                    ast.AsyncFunctionDef)))
 
 
-def mutants(source: bytes, kinds: set[str]) -> list[Mutant]:
-    """Every mutant of ``source`` of the given kinds, in source order."""
+def mutants(source: bytes) -> list[Mutant]:
+    """Every mutant of ``source``, in source order."""
     tree, starts = ast.parse(source), _offsets(source)
 
     def span(node) -> tuple[int, int]:
@@ -94,12 +92,12 @@ def mutants(source: bytes, kinds: set[str]) -> list[Mutant]:
         return start, starts[node.end_lineno] + node.end_col_offset
 
     found = []
-    for node in _statements(tree) if "statement" in kinds else ():
+    for node in _statements(tree):
         start, stop = span(node)
         text = source[start:stop].decode().splitlines()[0]
         found.append(Mutant(node.lineno, "statement", text, "pass", start, stop, b"pass"))
     for node in ast.walk(tree):
-        if "compare" not in kinds or not isinstance(node, ast.Compare):
+        if not isinstance(node, ast.Compare):
             continue
         operands = [node.left, *node.comparators]
         for op, left, right in zip(node.ops, operands, operands[1:]):
@@ -115,43 +113,28 @@ def mutants(source: bytes, kinds: set[str]) -> list[Mutant]:
     return sorted(found, key=lambda m: (m.start, m.kind))
 
 
-def _run_tests(copy: Path, tests: list[str], timeout: float) -> tuple[str, float]:
+def _run_tests(copy: Path, tests: list[str]) -> tuple[str, float]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
     command = [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     began = time.monotonic()
     try:
         done = subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout)
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout", time.monotonic() - began
     return ("survived" if done.returncode == 0 else "killed"), time.monotonic() - began
-
-
-def _line_filter(text: str | None):
-    if not text:
-        return lambda line: True
-    parts = (part.partition("-") for part in text.split(","))
-    spans = [(int(first), int(last or first)) for first, _, last in parts]
-    return lambda line: any(first <= line <= last for first, last in spans)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("files", nargs="+", help="source files to mutate, relative to the root")
     parser.add_argument("--tests", nargs="+", required=True, help="test files to run per mutant")
-    parser.add_argument("--kind", choices=["statement", "compare", "all"], default="all")
-    parser.add_argument("--lines", help="only mutants on these lines, as N,FIRST-LAST,...")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run")
-    parser.add_argument("--out", help="JSON-lines report (default: stdout)")
     args = parser.parse_args(argv)
-    kinds = {"statement", "compare"} if args.kind == "all" else {args.kind}
-    wanted = _line_filter(args.lines)
     scores = {}
-    report = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
-    with report as out, tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
+    with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
         copy = Path(scratch) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
-        status, seconds = _run_tests(copy, args.tests, args.timeout)
+        status, seconds = _run_tests(copy, args.tests)
         if status != "survived":
             print(f"the unmutated tests did not pass ({status}, {seconds:.1f} s)", file=sys.stderr)
             return 2
@@ -160,21 +143,19 @@ def main(argv: list[str] | None = None) -> int:
             original = target.read_bytes()
             tally = scores.setdefault(name, {"killed": 0, "survived": 0, "timeout": 0})
             try:
-                for mutant in mutants(original, kinds):
-                    if not wanted(mutant.line):
-                        continue
+                for mutant in mutants(original):
                     mutated = mutant.apply(original)
                     try:
                         ast.parse(mutated)
                     except SyntaxError:
                         continue
                     target.write_bytes(mutated)
-                    status, seconds = _run_tests(copy, args.tests, args.timeout)
+                    status, seconds = _run_tests(copy, args.tests)
                     tally[status] += 1
                     record = {"file": name, "line": mutant.line, "kind": mutant.kind,
                               "before": mutant.before, "after": mutant.after,
                               "status": status, "seconds": round(seconds, 1)}
-                    print(json.dumps(record), file=out, flush=True)
+                    print(json.dumps(record), flush=True)
             finally:
                 target.write_bytes(original)
     for name, tally in scores.items():
