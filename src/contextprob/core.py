@@ -343,7 +343,7 @@ def interference_values(p_plus, t_plus, p_minus, t_minus, theta) -> np.ndarray:
             f"interference value {_first(value, above)!r} exceeds 1; "
             "the prior, transition, and phase are mutually inconsistent"
         )
-    # np.where, not np.clip: a -0.0 inside the interval keeps its sign.
+    # a -0.0 inside the interval keeps its sign
     return np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value))
 
 

@@ -250,12 +250,11 @@ def _redraw_ties(key: np.ndarray, lo: int, bits: np.ndarray, mode: TimeDistribut
 
 
 def _event_times(bits: np.ndarray, mode: TimeDistribution) -> tuple[np.ndarray, np.ndarray]:
-    # (selection, measurement) times once _redraw_ties has untied the words; scaling
-    # by 2**-53 is exact, so the gap is exactly (max - min) * 2**-53
+    # (selection, measurement) time words once _redraw_ties has untied them; the
+    # time of word k is k * _UNIT, exact, so the fixed order's 0 and 1 are 0 and 2**53
     if mode is TimeDistribution.FIXED_ORDER:
-        return np.zeros(bits.shape[0]), np.ones(bits.shape[0])
-    t0, t1 = bits[:, 0] * _UNIT, bits[:, 1] * _UNIT
-    return np.minimum(t0, t1), np.maximum(t0, t1)
+        return np.zeros(len(bits), np.uint64), np.full(len(bits), 1 << 53, np.uint64)
+    return np.minimum(bits[:, 0], bits[:, 1]), np.maximum(bits[:, 0], bits[:, 1])
 
 
 def _write_trial_lines(
@@ -267,13 +266,15 @@ def _write_trial_lines(
 ) -> None:
     # One JSON object per line with keys t_selection, t_measurement, gamma,
     # beta in that order, the bytes json.dumps gives: it writes a float as its
-    # repr. Lines are streamed, never held as one block's text.
+    # repr, here each time word's k * _UNIT. Lines are streamed, never held as
+    # one block's text.
     sign = (1, -1)
     stream.writelines(
         f'{{"t_selection": {a!r}, "t_measurement": {b!r}, '
         f'"gamma": {sign[g]}, "beta": {sign[h]}}}\n'
         for a, b, g, h in zip(
-            t_sel.tolist(), t_meas.tolist(), gamma_minus.tolist(), beta_minus.tolist()
+            (t_sel * _UNIT).tolist(), (t_meas * _UNIT).tolist(),
+            gamma_minus.tolist(), beta_minus.tolist(),
         )
     )
 
@@ -285,7 +286,7 @@ def _simulate_counts(
     key: np.ndarray,
     time_distribution: TimeDistribution,
     trial_log: IO[str] | None = None,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.int64]:
     t_gamma = _threshold(q_plus)
     t_beta = np.array([_threshold(cond[0, 0]), _threshold(cond[0, 1])], dtype=np.uint64)
 
@@ -305,7 +306,7 @@ def _simulate_counts(
 
     # trace lines go out in trial order, from one thread
     totals = count(0, n, _BLOCK) if trial_log is not None else sum(_split(n, count))
-    return totals[:4].reshape(2, 2), int(totals[4])
+    return totals[:4].reshape(2, 2), totals[4]
 
 
 def run_simulation(config: SimConfig, *, trial_log: IO[str] | None = None) -> SimReport:
@@ -356,12 +357,12 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
         for lo, bits in _word_blocks(key, start, stop, block):
             redraws += _redraw_ties(key, lo, bits, mode)
             t_sel, t_meas = _event_times(bits, mode)
-            gaps = t_meas - t_sel
-            limbs = ((gaps * 2.0**53).astype(np.uint64) >> _LIMBS) & np.uint64(2**18 - 1)
+            d = t_meas - t_sel
+            limbs = (d >> _LIMBS) & np.uint64(2**18 - 1)
             sums, pairs = limbs.sum(axis=1).tolist(), (limbs @ limbs.T).tolist()
             s1 += sum(v << 18 * i for i, v in enumerate(sums))
             s2 += sum(v << 18 * (i + j) for i, row in enumerate(pairs) for j, v in enumerate(row))
-            low, high = min(low, float(gaps.min())), max(high, float(gaps.max()))
+            low, high = min(low, int(d.min())), max(high, int(d.max()))
         return redraws, s1, s2, low, high
 
     redraws, s1, s2, low, high = zip(*_split(n, count))
@@ -369,7 +370,7 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
     # mean and variance round once from exact rationals (numerator >= 0); sqrt rounds again
     return TimeOrderStats(n, n_redraws, n_redraws / n, mean_gap=s1 / (n << 53),
                           std_gap=math.sqrt((n * s2 - s1 * s1) / (n * n << 106)),
-                          min_gap=min(low), max_gap=max(high))
+                          min_gap=min(low) * _UNIT, max_gap=max(high) * _UNIT)
 
 
 _FLIP_CELLS = 4096  # cells per pass of the search for sign flips
@@ -384,7 +385,6 @@ def _scan(settings: tuple, n: int, seed: int, branch: int, agreements, side=floa
     # The CHSH_TERMS summed in order, where agreements(x, y, n, key) counts the
     # trials of term k whose signs agree, keyed by child (branch, k); x and y are
     # side(setting), worked out once per setting before any pair runs
-    settings = tuple(float(value) for value in settings)
     for name, setting in zip(("a", "a'", "b", "b'"), settings):
         if not math.isfinite(setting):
             raise PreconditionViolation(f"setting {name} must be finite, got {setting}")

@@ -107,14 +107,15 @@ class TestLambdaCommand:
         assert code == 2
         assert "[0, 1]" in err
 
-    def test_unnormalized_prior_exits_two(self, capsys):
+    @pytest.mark.parametrize("prior", ["1.2", "-0.1", "nan"])
+    def test_unnormalized_prior_exits_two(self, capsys, prior):
         code, _, err = run(
             capsys,
-            "lambda", "--observed", "0.5", "--prior", "1.2",
+            "lambda", "--observed", "0.5", "--prior", prior,
             "--matrix", "0.5,0.5,0.5,0.5",
         )
         assert code == 2
-        assert "error:" in err
+        assert err == f"error: p_plus must lie in [0, 1], got {float(prior)}\n"
 
     def test_bad_matrix_column_exits_two(self, capsys):
         code, _, err = run(

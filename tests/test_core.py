@@ -49,6 +49,8 @@ class TestBinaryDistribution:
     def test_from_p_plus_complements(self):
         dist = BinaryDistribution.from_p_plus(0.2)
         assert dist.p_minus == 0.8
+        # the complement is taken in double precision, not in the input's float32
+        assert BinaryDistribution.from_p_plus(np.float32(0.1)).p_minus == 0.8999999985098839
 
     def test_uniform(self):
         assert BinaryDistribution.uniform().p_plus == 0.5
@@ -314,6 +316,14 @@ class TestInterferenceProbability:
             interference_values(1.0, math.nextafter(top, 2.0), 0.0, 0.0, 0.0)
         with pytest.raises(OutOfRangeProbability, match="below 0"):
             interference_values(1.0, math.nextafter(bottom, -1.0), 0.0, 0.0, 0.0)
+
+    def test_a_negative_zero_inside_the_interval_keeps_its_sign(self):
+        # zero path weights at theta = pi leave -0.0 + -0.0: inside [0, 1],
+        # so returned as it is, sign bit and all
+        assert np.signbit(interference_values(0.5, -0.0, 0.5, -0.0, math.pi))
+        m = TransitionMatrix(np.array([[-0.0, -0.0], [1.0, 1.0]]))
+        value = interference_probability(BinaryDistribution.uniform(), m, PLUS, math.pi)
+        assert value == 0.0 and np.signbit(value)
 
     def test_coefficient_round_trip(self):
         # interference then coefficient recovers cos(theta), provided the

@@ -455,7 +455,7 @@ class TestCountingKernel:
         key = simulation._philox_key(1)
         mode = TimeDistribution.UNIFORM_SQUARE
         redraws = simulation._redraw_ties(key, 10, bits, mode)
-        t_sel, t_meas = simulation._event_times(bits, mode)
+        t_sel, t_meas = (k * 2.0**-53 for k in simulation._event_times(bits, mode))
         # the first and last rows are equal doubles, the middle one is not
         own = (w >> 11) * 2.0**-53
         assert [row for row in range(3) if own not in (t_sel[row], t_meas[row])] == [0, 2]
