@@ -19,10 +19,13 @@ Trial ``i`` owns the four 64-bit words at counter ``i`` (one Philox block):
 Because block ``i`` is addressable directly, the trial range can be cut at
 any trial boundary without changing a single outcome. Counting and the gap
 statistics run on up to two threads, one per contiguous trial range, whose
-exact integer sums and extremes are combined in range order; trace writing
-stays on one thread. Trials go in blocks of a fixed internal size, so peak
-memory does not grow with the trial count; neither the block size nor the
-thread count ever changes an output byte or a returned bit. Each word decides
+exact integer sums and extremes are combined in range order. A trace is cut
+into the same ranges, but on processes: the caller writes the first range,
+and a forked child formats each other range into an anonymous temporary
+file, which the caller copies after its own lines in range order. Trials go
+in blocks of a fixed internal size, so peak memory does not grow with the
+trial count; neither the block size nor the thread or process count ever
+changes an output byte or a returned bit. Each word decides
 its uniform ``u = (word >> 11) * 2**-53`` exactly as ``Generator.random``
 does, compared as an integer. The fixed-order time mode skips words 0 and 1
 but never re-purposes them, so switching time modes leaves the (gamma, beta)
@@ -42,7 +45,12 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import shutil
+import signal
+import tempfile
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO
@@ -208,22 +216,30 @@ def _word_blocks(key: np.ndarray, start: int, stop: int, block: int, width=4, fi
         yield lo, _uniform_bits(bitgen.random_raw(width * m).reshape(m, width))
 
 
+def _ranges(n: int) -> list[tuple[int, int, int]]:
+    # (start, stop, block) of each of _WORKERS contiguous ranges of 0 .. n - 1, in
+    # range order, in blocks of ceil(_BLOCK / _WORKERS) trials: one block's words
+    # in flight over all ranges
+    workers, block = _WORKERS, -(-_BLOCK // _WORKERS)
+    return [(n * w // workers, n * (w + 1) // workers, block) for w in range(workers)]
+
+
 def _split(n: int, count) -> list:
-    # count(start, stop, block) for each of _WORKERS contiguous ranges of 0 .. n - 1,
-    # in range order, the first run on this thread and each other on its own, in
-    # blocks of ceil(_BLOCK / _WORKERS) trials: one block's words in flight in all.
-    workers = _WORKERS
-    results, failures = [None] * workers, []
+    # count(start, stop, block) for each of the _ranges, in range order, the first
+    # run on this thread and each other on its own
+    ranges = _ranges(n)
+    results, failures = [None] * len(ranges), []
 
     def run(w: int) -> None:
         try:
-            results[w] = count(n * w // workers, n * (w + 1) // workers, -(-_BLOCK // workers))
+            results[w] = count(*ranges[w])
         except BaseException as exc:
             if w == 0:  # raise the caller's own at once (an interrupt, say): helpers are daemons
                 raise
             failures.append(exc)  # a helper's, re-raised in the caller below
 
-    threads = [threading.Thread(target=run, args=(w,), daemon=True) for w in range(1, workers)]
+    threads = [threading.Thread(target=run, args=(w,), daemon=True)
+               for w in range(1, len(ranges))]
     for thread in threads:
         thread.start()
     run(0)
@@ -232,6 +248,76 @@ def _split(n: int, count) -> list:
     if failures:
         raise failures[0]
     return results
+
+
+def _fork(count, start: int, stop: int, block: int, file: IO[str], pipe: int) -> int:
+    # Fork a child that runs count(start, stop, block, file), flushes file and
+    # writes its totals, or the exception it raised, pickled to the pipe's write
+    # end; the child always ends in os._exit, so it never returns from here, runs
+    # no exit handler and flushes no buffer it shares with the caller. A fork,
+    # not a spawned interpreter: count is a closure, which does not pickle, and
+    # a fresh numpy import would cost most of what the child saves.
+    pid = os.fork()
+    if pid:
+        return pid
+    try:
+        try:
+            result = count(start, stop, block, file)
+            file.flush()
+        except BaseException as exc:
+            result = exc
+        try:
+            payload = pickle.dumps(result)
+        except Exception:  # an exception that does not pickle still fails the caller
+            payload = pickle.dumps(ChildProcessError(f"trace range failed: {result!r}"))
+        with open(pipe, "wb") as out:
+            out.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _fork_split(n: int, count, log: IO[str]) -> np.ndarray:
+    # The totals of count(start, stop, block, log) over the _ranges, with the lines
+    # each range writes in range order: the first range runs here, each other in a
+    # forked child writing a temporary file that is copied into log after it.
+    # Serial where fork is missing, where another thread is alive (the child would
+    # hold a copy of it stopped mid-step) or where one block holds every trial;
+    # one worker makes one range, and so forks nothing either.
+    if not hasattr(os, "fork") or threading.active_count() > 1 or n <= _BLOCK:
+        return count(0, n, _BLOCK, log)
+    (start, stop, block), *rest = _ranges(n)
+    children = []  # (pid, result pipe, temporary file) per forked range, until reaped
+    with ExitStack() as stack:
+        stack.callback(_kill, children)  # on any exception: no child outlives the call
+        for args in rest:
+            file = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+            read, write = os.pipe()
+            pipe = stack.enter_context(open(read, "rb"))
+            try:
+                children.append((_fork(count, *args, file, write), pipe, file))
+            finally:
+                os.close(write)
+        totals = count(start, stop, block, log)
+        while children:
+            pid, pipe, file = children[0]
+            payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            result = pickle.loads(payload) if payload else ChildProcessError(
+                f"trace writer {pid} ended with wait status {status} and no result")
+            if isinstance(result, BaseException):
+                raise result
+            file.seek(0)
+            shutil.copyfileobj(file, log)
+            totals += result
+    return totals
+
+
+def _kill(children: list) -> None:
+    # SIGKILL and reap each child not reaped yet
+    for pid, _, _ in children:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _redraw_ties(key: np.ndarray, lo: int, bits: np.ndarray, mode: TimeDistribution) -> int:
@@ -257,25 +343,19 @@ def _event_times(bits: np.ndarray, mode: TimeDistribution) -> tuple[np.ndarray, 
     return np.minimum(bits[:, 0], bits[:, 1]), np.maximum(bits[:, 0], bits[:, 1])
 
 
-def _write_trial_lines(
-    stream: IO[str],
-    t_sel: np.ndarray,
-    t_meas: np.ndarray,
-    gamma_minus: np.ndarray,
-    beta_minus: np.ndarray,
-) -> None:
+# a trace line's gamma and beta, indexed by the trial's cell 2 * beta_minus + gamma_minus
+_TAILS = tuple(f'"gamma": {g}, "beta": {b}}}\n' for b in (1, -1) for g in (1, -1))
+
+
+def _write_trial_lines(stream: IO[str], t_sel: np.ndarray, t_meas: np.ndarray,
+                       cells: np.ndarray) -> None:
     # One JSON object per line with keys t_selection, t_measurement, gamma,
     # beta in that order, the bytes json.dumps gives: it writes a float as its
     # repr, here each time word's k * _UNIT. Lines are streamed, never held as
     # one block's text.
-    sign = (1, -1)
     stream.writelines(
-        f'{{"t_selection": {a!r}, "t_measurement": {b!r}, '
-        f'"gamma": {sign[g]}, "beta": {sign[h]}}}\n'
-        for a, b, g, h in zip(
-            (t_sel * _UNIT).tolist(), (t_meas * _UNIT).tolist(),
-            gamma_minus.tolist(), beta_minus.tolist(),
-        )
+        f'{{"t_selection": {a!r}, "t_measurement": {b!r}, {_TAILS[c]}'
+        for a, b, c in zip((t_sel * _UNIT).tolist(), (t_meas * _UNIT).tolist(), cells.tolist())
     )
 
 
@@ -290,7 +370,7 @@ def _simulate_counts(
     t_gamma = _threshold(q_plus)
     t_beta = np.array([_threshold(cond[0, 0]), _threshold(cond[0, 1])], dtype=np.uint64)
 
-    def count(start: int, stop: int, block: int) -> np.ndarray:
+    def count(start: int, stop: int, block: int, log: IO[str] | None = None) -> np.ndarray:
         totals = np.zeros(5, dtype=np.int64)  # the four cells, then the redraws
         for lo, bits in _word_blocks(key, start, stop, block):
             gamma_minus = bits[:, 2] >= t_gamma
@@ -299,13 +379,11 @@ def _simulate_counts(
             cells |= gamma_minus.view(np.uint8)
             totals[:4] += np.bincount(cells, minlength=4)
             totals[4] += _redraw_ties(key, lo, bits, time_distribution)
-            if trial_log is not None:
-                t_sel, t_meas = _event_times(bits, time_distribution)
-                _write_trial_lines(trial_log, t_sel, t_meas, gamma_minus, beta_minus)
+            if log is not None:
+                _write_trial_lines(log, *_event_times(bits, time_distribution), cells)
         return totals
 
-    # trace lines go out in trial order, from one thread
-    totals = count(0, n, _BLOCK) if trial_log is not None else sum(_split(n, count))
+    totals = sum(_split(n, count)) if trial_log is None else _fork_split(n, count, trial_log)
     return totals[:4].reshape(2, 2), totals[4]
 
 

@@ -4,6 +4,9 @@ No bytecode cache is written next to the sources, so a test run never leaves
 a ``src/contextprob/__pycache__`` behind for a later benchmark run to pick
 up. The environment variable carries the setting into the interpreters the
 tests start (the demos, the CLI write failures and the thread checks).
+
+Every test fails that leaves a child process behind, running or unreaped:
+no child outlives the call that started it.
 """
 
 import json
@@ -52,3 +55,17 @@ def run_python():
                               stderr=subprocess.PIPE, text=True, timeout=timeout)
 
     return run
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_its_test():
+    yield
+    if not hasattr(os, "waitpid"):
+        return
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)  # reaps one exited child, if any
+    except ChildProcessError:
+        return  # no child at all
+    if pid:
+        pytest.fail(f"the test left child {pid} unreaped (wait status {status})")
+    pytest.fail("the test left a child process running")

@@ -1,8 +1,10 @@
+import errno
 import io
 import itertools
 import json
 import math
 import os
+import signal
 import sys
 import threading
 import time
@@ -689,7 +691,10 @@ class TestCountingKernel:
 @example(n=103, block=100, workers=3, seed=9, mode=TimeDistribution.UNIFORM_SQUARE)
 @example(n=1, block=1, workers=3, seed=0, mode=TimeDistribution.UNIFORM_SQUARE)
 def test_block_size_never_changes_an_output_byte(report_json, n, block, workers, seed, mode):
-    # nor does the number of threads the trial range is cut between
+    # nor does the number of threads or trace processes the trial range is cut
+    # between: past one block, each trace range after the first runs in a child
+    forks = []
+
     def outputs():
         log = io.StringIO()
         report = run_simulation(config(n=n, seed=seed, mode=mode), trial_log=log)
@@ -702,11 +707,25 @@ def test_block_size_never_changes_an_output_byte(report_json, n, block, workers,
         )
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", counting_fork(forks))
         mp.setattr(simulation, "_WORKERS", 1)
         reference = outputs()
+        assert forks == []
         mp.setattr(simulation, "_BLOCK", block)
         mp.setattr(simulation, "_WORKERS", workers)
         assert outputs() == reference
+    assert len(forks) == (workers - 1 if n > block else 0)
+
+
+def counting_fork(forks):
+    # os.fork, recording each call in forks first
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    return counted
 
 
 def trace_gap_words(text):
@@ -922,3 +941,101 @@ class TestCountingThreads:
             "assert 'concurrent.futures' not in sys.modules",
         )
         assert child.returncode == 0, child.stderr
+
+
+# ---------------------------------------------------------------- trace processes
+
+
+class TestTraceProcesses:
+    # n > _BLOCK with two workers: the caller writes trials 0 .. 499, one forked
+    # child trials 500 .. 999
+    N = 1_000
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """The pids os.fork was called from; two workers, blocks of 64 trials."""
+        forks = []
+        monkeypatch.setattr(os, "fork", counting_fork(forks))
+        monkeypatch.setattr(simulation, "_BLOCK", 64)
+        monkeypatch.setattr(simulation, "_WORKERS", 2)
+        return forks
+
+    def trace(self):
+        log = io.StringIO()
+        run_simulation(config(n=self.N, seed=3), trial_log=log)
+        return log.getvalue()
+
+    def in_child(self, monkeypatch, child, parent=None):
+        # _write_trial_lines runs child() first in a forked child, parent() in the caller
+        caller, write = os.getpid(), simulation._write_trial_lines
+
+        def write_lines(*args):
+            if os.getpid() != caller:
+                child()
+            elif parent is not None:
+                parent()
+            write(*args)
+
+        monkeypatch.setattr(simulation, "_write_trial_lines", write_lines)
+
+    def test_serial_where_fork_is_missing(self, monkeypatch, forked):
+        expected = self.trace()
+        monkeypatch.delattr(os, "fork")
+        assert self.trace() == expected
+        assert len(forked) == 1  # the reference run's
+
+    def test_serial_while_a_helper_thread_is_alive(self, forked):
+        expected = self.trace()
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait, args=(10,))
+        helper.start()
+        try:
+            assert self.trace() == expected
+        finally:
+            release.set()
+            helper.join(timeout=10)
+        assert not helper.is_alive() and len(forked) == 1
+
+    def test_a_full_disk_in_the_child_reaches_the_caller(self, monkeypatch, forked):
+        def full():
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        self.in_child(monkeypatch, full)
+        with pytest.raises(OSError) as info:
+            self.trace()
+        assert info.value.errno == errno.ENOSPC and len(forked) == 1
+
+    def test_a_child_exception_that_does_not_pickle_still_fails_the_caller(
+        self, monkeypatch, forked
+    ):
+        class Local(Exception):  # a local class: pickle cannot name it
+            pass
+
+        def fail():
+            raise Local("range 1")
+
+        self.in_child(monkeypatch, fail)
+        with pytest.raises(ChildProcessError, match="Local.*range 1"):
+            self.trace()
+
+    def test_a_child_killed_without_a_result_fails_the_caller(self, monkeypatch, forked):
+        self.in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(ChildProcessError, match="no result"):
+            self.trace()
+
+    @pytest.mark.parametrize("failure", [Boom, KeyboardInterrupt])
+    def test_a_failing_caller_range_kills_and_reaps_the_child(
+        self, monkeypatch, forked, failure
+    ):
+        # the child is still writing when the caller fails: it is killed, not awaited
+        def fail():
+            raise failure("range 0")
+
+        naps = iter([30])  # once: a child that is not killed ends 30 s later
+        self.in_child(monkeypatch, lambda: time.sleep(next(naps, 0)), fail)
+        began = time.monotonic()
+        with pytest.raises(failure, match="range 0"):
+            self.trace()
+        assert time.monotonic() - began < 10.0 and len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

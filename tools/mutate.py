@@ -7,10 +7,12 @@ Two kinds of mutant are made from the named source files:
                == and !=, is and is not, in and not in)
 
 Each mutant is written into a temporary copy of the repository, where the
-named test files run with ``pytest -x`` under a 300 s timeout. One JSON line
+named test files run with ``pytest -x`` under a 300 s timeout, in a session of
+their own whose every process is killed when the run ends. One JSON line
 per mutant goes to stdout: its file, line, kind, the code it changed, and
-whether it was killed (a test failed), survived (every test passed) or timed
-out. A summary per file goes to stderr at the end.
+whether it was killed (a test failed, or the test process ended before its
+session did), survived (every test passed) or timed out. A summary per file
+goes to stderr at the end.
 
 The score is a trajectory, not a gate: a surviving mutant marks either a
 missing test or code that nothing needs. Standard library only; the tests
@@ -26,9 +28,11 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -114,15 +118,29 @@ def mutants(source: bytes) -> list[Mutant]:
 
 
 def _run_tests(copy: Path, tests: list[str]) -> tuple[str, float]:
+    # A run passes only if pytest also finished its session, which writes the
+    # report: a mutant can end the test process early with status 0 (an
+    # os._exit meant for a forked child, say).
+    report = copy / ".mutate-report.xml"
+    report.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
-    command = [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               f"--junit-xml={report}", *tests]
     began = time.monotonic()
-    try:
-        done = subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
-    except subprocess.TimeoutExpired:
-        return "timeout", time.monotonic() - began
-    return ("survived" if done.returncode == 0 else "killed"), time.monotonic() - began
+    # in a session of its own, so that what a mutant forks ends with the run
+    with subprocess.Popen(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, start_new_session=True) as run:
+        try:
+            returncode = run.wait(timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            returncode = None
+        finally:
+            with contextlib.suppress(ProcessLookupError):  # the group is already empty
+                os.killpg(run.pid, signal.SIGKILL)
+    seconds = time.monotonic() - began
+    if returncode is None:
+        return "timeout", seconds
+    return ("survived" if returncode == 0 and report.exists() else "killed"), seconds
 
 
 def main(argv: list[str] | None = None) -> int:
