@@ -19,10 +19,9 @@ mode a seeded command echoes its seed on stderr, so stdout stays pure CSV.
 
 Exit codes: 0 on success, 1 when a verified property fails, 2 on invalid
 usage or input validation errors, including an ``--out`` or ``--trace`` path
-that cannot be opened, the two naming one file, and output (stdout, either
-file or a trace's temporary file) that cannot be written, a closed stdout
-included. Output files are opened before any computation, as a shell
-redirection would open them.
+that cannot be opened, the two naming one file, and output (stdout or either
+file) that cannot be written, a closed stdout included. Output files are
+opened before any computation, as a shell redirection would open them.
 """
 
 from __future__ import annotations

@@ -508,7 +508,7 @@ class TestParserBasics:
 
 SIMULATE_SMALL = ["simulate", "--xi", "0.3", "--eta", "0.2", "--n", "5", "--seed", "1"]
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-SIMULATE_FORKED = [*SIMULATE_SMALL[:5], "--n", str(simulation._BLOCK + 1)]
+SIMULATE_BLOCKS = [*SIMULATE_SMALL[:5], "--n", str(3 * simulation._TRACE_BLOCK + 1)]
 
 
 class TestWriteFailures:
@@ -542,28 +542,21 @@ class TestWriteFailures:
         assert child.stderr.startswith("error: cannot write output:")
         assert child.stderr.count("\n") == 1
 
-    # past one block the trace's second range is written by a forked child into
-    # a temporary file; a failure on either side exits 2 the same way
+    # a trace of several blocks fails the same way, and needs no temporary file
     @needs_dev_full
-    def test_full_trace_file_with_a_child_running_exits_two(self, run_python):
-        child = run_python("-m", "contextprob.cli", *SIMULATE_FORKED, "--trace", "/dev/full")
+    def test_full_trace_file_past_one_block_exits_two(self, run_python):
+        child = run_python("-m", "contextprob.cli", *SIMULATE_BLOCKS, "--trace", "/dev/full")
         assert (child.returncode, child.stdout) == (2, "")
         assert child.stderr.startswith("error: cannot write output:")
         assert child.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("setup", [
-        "tempfile.tempdir = os.path.join(sys.argv[1], 'missing')",
-        pytest.param("tempfile.TemporaryFile = lambda *a, **k: open('/dev/full', 'w+')",
-                     marks=needs_dev_full),
-    ], ids=["missing", "full"])
-    def test_a_temporary_directory_that_fails_exits_two(self, run_python, tmp_path, setup):
-        launch = (f"import os, sys, tempfile; {setup}; from contextprob.cli import main; "
-                  "sys.exit(main(sys.argv[2:]))")
+    def test_a_trace_is_written_without_a_temporary_directory(self, run_python, tmp_path):
+        launch = ("import os, sys, tempfile; tempfile.tempdir = os.path.join(sys.argv[1], "
+                  "'missing'); from contextprob.cli import main; sys.exit(main(sys.argv[2:]))")
         trace = tmp_path / "trace"
-        child = run_python("-c", launch, str(tmp_path), *SIMULATE_FORKED, "--trace", str(trace))
-        assert (child.returncode, child.stdout) == (2, "")
-        assert child.stderr.startswith("error: cannot write output:")
-        assert child.stderr.count("\n") == 1
+        child = run_python("-c", launch, str(tmp_path), *SIMULATE_BLOCKS, "--trace", str(trace))
+        assert (child.returncode, child.stderr) == (0, "")
+        assert trace.read_text().count("\n") == 3 * simulation._TRACE_BLOCK + 1
 
     def test_closed_stdout_exits_two(self, capsys, monkeypatch):
         # an interpreter started with fd 1 closed has sys.stdout set to None

@@ -1,10 +1,8 @@
-import errno
 import io
 import itertools
 import json
 import math
 import os
-import signal
 import sys
 import threading
 import time
@@ -167,7 +165,7 @@ class TestRunSimulation:
     def test_trial_log_is_chunk_invariant(self, monkeypatch):
         b1, b2 = io.StringIO(), io.StringIO()
         run_simulation(config(n=500, seed=6), trial_log=b1)
-        monkeypatch.setattr(simulation, "_BLOCK", 56)
+        monkeypatch.setattr(simulation, "_TRACE_BLOCK", 56)
         run_simulation(config(n=500, seed=6), trial_log=b2)
         assert b1.getvalue() == b2.getvalue()
 
@@ -427,6 +425,7 @@ class TestCountingKernel:
     def test_matches_the_float_reference(self, monkeypatch, block, q, mode):
         if block is not None:
             monkeypatch.setattr(simulation, "_BLOCK", block)
+            monkeypatch.setattr(simulation, "_TRACE_BLOCK", block)
         cfg = config(n=301, seed=2**64 - 1, xi=0.3, eta=1.1, q=q, mode=mode)
         log = io.StringIO()
         report = run_simulation(cfg, trial_log=log)
@@ -554,6 +553,7 @@ class TestCountingKernel:
 
         monkeypatch.setattr(simulation, "_uniform_bits", tie_by_gamma_word)
         monkeypatch.setattr(simulation, "_BLOCK", 64)
+        monkeypatch.setattr(simulation, "_TRACE_BLOCK", 64)
         monkeypatch.setattr(simulation, "_WORKERS", workers)
         traced = run_simulation(config(n=3_000, seed=4), trial_log=io.StringIO())
         untraced = run_simulation(config(n=3_000, seed=4))
@@ -691,9 +691,8 @@ class TestCountingKernel:
 @example(n=103, block=100, workers=3, seed=9, mode=TimeDistribution.UNIFORM_SQUARE)
 @example(n=1, block=1, workers=3, seed=0, mode=TimeDistribution.UNIFORM_SQUARE)
 def test_block_size_never_changes_an_output_byte(report_json, n, block, workers, seed, mode):
-    # nor does the number of threads or trace processes the trial range is cut
-    # between: past one block, each trace range after the first runs in a child
-    forks = []
+    # nor does the number of threads the trial range is cut between; a trace
+    # past one block is written in several
 
     def outputs():
         log = io.StringIO()
@@ -707,25 +706,12 @@ def test_block_size_never_changes_an_output_byte(report_json, n, block, workers,
         )
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "fork", counting_fork(forks))
         mp.setattr(simulation, "_WORKERS", 1)
         reference = outputs()
-        assert forks == []
         mp.setattr(simulation, "_BLOCK", block)
+        mp.setattr(simulation, "_TRACE_BLOCK", block)
         mp.setattr(simulation, "_WORKERS", workers)
         assert outputs() == reference
-    assert len(forks) == (workers - 1 if n > block else 0)
-
-
-def counting_fork(forks):
-    # os.fork, recording each call in forks first
-    fork = os.fork
-
-    def counted():
-        forks.append(os.getpid())
-        return fork()
-
-    return counted
 
 
 def trace_gap_words(text):
@@ -934,108 +920,57 @@ class TestCountingThreads:
         assert child.returncode == 0, child.stderr
 
     def test_importing_the_cli_starts_no_thread(self, run_python):
+        # nor imports orjson, which only a trace needs, before or after a run
         child = run_python(
             "-c",
             "import sys, threading; import contextprob.cli; "
             "assert threading.active_count() == 1, threading.enumerate(); "
-            "assert 'concurrent.futures' not in sys.modules",
+            "assert 'concurrent.futures' not in sys.modules; "
+            "assert 'orjson' not in sys.modules; "
+            "argv = ['simulate', '--xi', '1', '--eta', '0.5', '--n', '9']; "
+            "assert contextprob.cli.main(argv) == 0; "
+            "assert 'orjson' not in sys.modules",
         )
         assert child.returncode == 0, child.stderr
 
 
-# ---------------------------------------------------------------- trace processes
+# ---------------------------------------------------------------- trace text
 
 
-class TestTraceProcesses:
-    # n > _BLOCK with two workers: the caller writes trials 0 .. 499, one forked
-    # child trials 500 .. 999
-    N = 1_000
+def assert_time_texts_are_reprs(words):
+    # the trace writes each time word k as the repr of k * 2**-53, 2**14 at a time
+    for lo in range(0, len(words), 1 << 14):
+        chunk = np.asarray(words[lo:lo + (1 << 14)], dtype=np.uint64)
+        expected = [repr(t) for t in (chunk * 2.0**-53).tolist()]
+        assert simulation._time_texts(chunk) == expected
 
-    @pytest.fixture
-    def forked(self, monkeypatch):
-        """The pids os.fork was called from; two workers, blocks of 64 trials."""
-        forks = []
-        monkeypatch.setattr(os, "fork", counting_fork(forks))
-        monkeypatch.setattr(simulation, "_BLOCK", 64)
-        monkeypatch.setattr(simulation, "_WORKERS", 2)
-        return forks
 
-    def trace(self):
-        log = io.StringIO()
-        run_simulation(config(n=self.N, seed=3), trial_log=log)
-        return log.getvalue()
+class TestTimeTexts:
+    # orjson writes the times at and above 1e-4, repr those below: any change in
+    # orjson's digits or notation fails here rather than moving a trace byte
+    CUT = int(1e-4 * 2**53)  # the last word below 1e-4
 
-    def in_child(self, monkeypatch, child, parent=None):
-        # _write_trial_lines runs child() first in a forked child, parent() in the caller
-        caller, write = os.getpid(), simulation._write_trial_lines
+    def test_the_cut_is_no_time_word(self):
+        assert (Fraction(1e-4) * 2**53).denominator > 1
+        assert self.CUT * 2.0**-53 < 1e-4 < (self.CUT + 1) * 2.0**-53
 
-        def write_lines(*args):
-            if os.getpid() != caller:
-                child()
-            elif parent is not None:
-                parent()
-            write(*args)
+    def test_every_multiple_of_2_to_the_minus_18_from_1e_4_to_1(self):
+        # the only times whose two shortest candidates can tie
+        first = -(-(self.CUT + 1) >> 35)
+        assert_time_texts_are_reprs(range(first << 35, (1 << 53) + 1, 1 << 35))
 
-        monkeypatch.setattr(simulation, "_write_trial_lines", write_lines)
+    def test_the_words_next_to_1e_4_and_below_1(self):
+        assert_time_texts_are_reprs(range(self.CUT - (1 << 16), self.CUT + (1 << 16) + 1))
+        assert_time_texts_are_reprs(range((1 << 53) - (1 << 16), (1 << 53) + 1))
 
-    def test_serial_where_fork_is_missing(self, monkeypatch, forked):
-        expected = self.trace()
-        monkeypatch.delattr(os, "fork")
-        assert self.trace() == expected
-        assert len(forked) == 1  # the reference run's
+    @pytest.mark.parametrize("b", range(40, 53))
+    def test_the_words_next_to_a_power_of_two(self, b):
+        assert_time_texts_are_reprs(range((1 << b) - (1 << 12), (1 << b) + (1 << 12)))
 
-    def test_serial_while_a_helper_thread_is_alive(self, forked):
-        expected = self.trace()
-        release = threading.Event()
-        helper = threading.Thread(target=release.wait, args=(10,))
-        helper.start()
-        try:
-            assert self.trace() == expected
-        finally:
-            release.set()
-            helper.join(timeout=10)
-        assert not helper.is_alive() and len(forked) == 1
+    def test_the_fixed_order_times(self):
+        assert simulation._time_texts(np.array([0, 1 << 53], np.uint64)) == ["0.0", "1.0"]
 
-    def test_a_full_disk_in_the_child_reaches_the_caller(self, monkeypatch, forked):
-        def full():
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        self.in_child(monkeypatch, full)
-        with pytest.raises(OSError) as info:
-            self.trace()
-        assert info.value.errno == errno.ENOSPC and len(forked) == 1
-
-    def test_a_child_exception_that_does_not_pickle_still_fails_the_caller(
-        self, monkeypatch, forked
-    ):
-        class Local(Exception):  # a local class: pickle cannot name it
-            pass
-
-        def fail():
-            raise Local("range 1")
-
-        self.in_child(monkeypatch, fail)
-        with pytest.raises(ChildProcessError, match="Local.*range 1"):
-            self.trace()
-
-    def test_a_child_killed_without_a_result_fails_the_caller(self, monkeypatch, forked):
-        self.in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
-        with pytest.raises(ChildProcessError, match="no result"):
-            self.trace()
-
-    @pytest.mark.parametrize("failure", [Boom, KeyboardInterrupt])
-    def test_a_failing_caller_range_kills_and_reaps_the_child(
-        self, monkeypatch, forked, failure
-    ):
-        # the child is still writing when the caller fails: it is killed, not awaited
-        def fail():
-            raise failure("range 0")
-
-        naps = iter([30])  # once: a child that is not killed ends 30 s later
-        self.in_child(monkeypatch, lambda: time.sleep(next(naps, 0)), fail)
-        began = time.monotonic()
-        with pytest.raises(failure, match="range 0"):
-            self.trace()
-        assert time.monotonic() - began < 10.0 and len(forked) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(st.integers(0, 2**53), min_size=1, max_size=64))
+    def test_any_words(self, words):
+        assert_time_texts_are_reprs(words)
