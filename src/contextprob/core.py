@@ -12,10 +12,10 @@ Outcomes are encoded as the integers ``+1`` and ``-1`` throughout.
 
 Each formula is written once, as an array kernel that evaluates it
 elementwise over broadcast arrays (a stack of priors, transition rows and
-phases): :func:`interference_values`, :func:`coefficient_values`,
-:func:`row_sum_residuals` and :func:`require_column_stochastic`. The scalar
-functions that take the value objects are thin wrappers over them, so a
-batched sweep and a single call evaluate the same arithmetic.
+phases): :func:`interference_values`, :func:`coefficient_values` and
+:func:`row_sum_residuals`. The scalar functions that take the value objects
+are thin wrappers over them, so a batched sweep and a single call evaluate
+the same arithmetic.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .errors import (
 PLUS = 1
 MINUS = -1
 
-# Construction-time normalization tolerance. Definitional, not configurable:
-# inputs further off than this are data errors, not rounding.
+# Definitional, not configurable: inputs off normalization by more than this are
+# data errors, and every exact identity the package checks must hold within it.
 NORMALIZATION_TOL = 1e-12
 
 # interference_probability snaps results within this distance back onto the
@@ -103,10 +103,11 @@ class TransitionMatrix:
     """Column-stochastic 2x2 matrix of conditional probabilities.
 
     ``entries[i][j]`` is the probability of result ``beta`` given condition
-    ``alpha``, with ``+1`` mapped to index 0 and ``-1`` to index 1. Rows index
-    the result, columns the condition, so each column sums to 1 within
-    ``NORMALIZATION_TOL``. Rows need not: row sums equal 1 only for a
-    doubly-stochastic matrix, whose :func:`row_sum_residuals` vanish.
+    ``alpha``, with ``+1`` mapped to index 0 and ``-1`` to index 1: rows index
+    the result, columns the condition. Construction raises :class:`InvalidMatrix`
+    unless it is 2x2 with finite entries in [0, 1] and each column sums to 1
+    within ``NORMALIZATION_TOL``. Row sums equal 1 only for a doubly-stochastic
+    matrix, whose :func:`row_sum_residuals` vanish.
     """
 
     entries: np.ndarray
@@ -115,7 +116,15 @@ class TransitionMatrix:
         arr = np.array(self.entries, dtype=float, copy=True)
         if arr.shape != (2, 2):
             raise InvalidMatrix(f"expected a 2x2 matrix, got shape {arr.shape}")
-        require_column_stochastic(arr)
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
+            if not np.all(np.isfinite(arr)):
+                raise InvalidMatrix("entries must be finite")
+            raise InvalidMatrix("entries must lie in [0, 1]")
+        col_sums = arr[0] + arr[1]
+        if np.any(np.abs(col_sums - 1.0) > NORMALIZATION_TOL):
+            raise InvalidMatrix(
+                f"column stochasticity violated: column sums are {col_sums.tolist()!r}"
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -193,30 +202,6 @@ def _root_product(p_plus, t_plus, p_minus, t_minus):
 def _first(values: np.ndarray, where: np.ndarray) -> float:
     # The first offending element, for an error message naming one value.
     return float(values[where][0])
-
-
-def require_column_stochastic(entries: np.ndarray) -> None:
-    """Validate a stack of conditional matrices, shape ``(..., 2, 2)``.
-
-    Every entry must be finite and in [0, 1], and every column must sum to 1
-    within ``NORMALIZATION_TOL``; this is the check :class:`TransitionMatrix`
-    runs on construction.
-
-    Raises
-    ------
-    InvalidMatrix
-        Naming the column sums of the first matrix that fails.
-    """
-    if not np.all((entries >= 0.0) & (entries <= 1.0)):
-        if not np.all(np.isfinite(entries)):
-            raise InvalidMatrix("entries must be finite")
-        raise InvalidMatrix("entries must lie in [0, 1]")
-    col_sums = (entries[..., 0, :] + entries[..., 1, :]).reshape(-1, 2)
-    off = np.any(np.abs(col_sums - 1.0) > NORMALIZATION_TOL, axis=1)
-    if np.any(off):
-        raise InvalidMatrix(
-            f"column stochasticity violated: column sums are {col_sums[off][0].tolist()!r}"
-        )
 
 
 def row_sum_residuals(entries: np.ndarray) -> np.ndarray:

@@ -31,12 +31,13 @@ class PreconditionViolation(ContextualProbabilityError):
 
 
 class InvalidCount(ContextualProbabilityError):
-    """A trial or sample count is not a positive integer."""
+    """A trial or sample count is not a positive integer below ``2**63``."""
 
 
 def require_count(n: int, name: str) -> int:
-    """``n`` as an int, or :class:`InvalidCount` unless it is a positive integer."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    """``n`` as an int, or :class:`InvalidCount` unless ``1 <= n < 2**63``."""
+    # 2**63 keeps trial counters below the redraw base 2**64 and totals in int64.
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n < 1 << 63:
         raise InvalidCount(f"{name} must be a positive integer, got {n!r}")
     return int(n)
 

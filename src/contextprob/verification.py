@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import coefficient_values, row_sum_residuals
+from .core import NORMALIZATION_TOL, coefficient_values, row_sum_residuals
 from .eprbohm import (
     DEFAULT_SIGNS,
     angle_matrices,
@@ -42,9 +42,6 @@ from .errors import require_count, require_seed
 _ANGLE_MARGIN = 0.05
 
 _TSIRELSON = 2.0 * np.sqrt(2.0)
-
-# Residual bound shared by the exact-identity checks.
-_TOL = 1e-12
 
 # Samples per block. Peak memory of the sweep is a few dozen arrays of this
 # many 2x2 matrices.
@@ -135,7 +132,7 @@ def _reconstruction_agreement(rng: np.random.Generator, size: int) -> tuple[floa
     xi, eta = _sample_angles(rng, size)
     recon = phase_entries(*angle_matrices(xi, eta), DEFAULT_SIGNS, flip_second_column=True)
     worst = float(np.max(np.abs(conditional_probabilities(xi - eta) - recon)))
-    return worst, worst <= _TOL
+    return worst, worst <= NORMALIZATION_TOL
 
 
 def _double_stochasticity(rng: np.random.Generator, size: int) -> tuple[float, bool]:
@@ -146,7 +143,7 @@ def _double_stochasticity(rng: np.random.Generator, size: int) -> tuple[float, b
     stacks = (p_ac, p_ba, p_bc, phase_entries(p_ac, p_ba, DEFAULT_SIGNS, flip_second_column=True))
     worst = max(float(np.max(row_sum_residuals(m))) for m in stacks)
     strictly_positive = all(bool(np.all(m > 0.0)) for m in (p_ac, p_ba, p_bc))
-    return worst, worst <= _TOL and strictly_positive
+    return worst, worst <= NORMALIZATION_TOL and strictly_positive
 
 
 def _phase_opposition(rng: np.random.Generator, size: int) -> tuple[float, bool]:
@@ -154,10 +151,10 @@ def _phase_opposition(rng: np.random.Generator, size: int) -> tuple[float, bool]
     # The check only classifies, so its residual reads 0.
     p_ac, p_ba = angle_matrices(*_sample_angles(rng, size))
     passed = all(
-        bool(np.all(phase_opposition_residuals(p_ac, p_ba, *pair) <= _TOL))
+        bool(np.all(phase_opposition_residuals(p_ac, p_ba, *pair) <= NORMALIZATION_TOL))
         for pair in ((-1.0, 1.0), (1.0, -1.0))
     ) and not any(
-        bool(np.any(phase_opposition_residuals(p_ac, p_ba, *pair) <= _TOL))
+        bool(np.any(phase_opposition_residuals(p_ac, p_ba, *pair) <= NORMALIZATION_TOL))
         for pair in ((1.0, 1.0), (-1.0, -1.0))
     )
     return 0.0, passed
@@ -171,7 +168,7 @@ def _selection_phase_flip(
     # a 0/1 failure indicator.
     p_ac, p_ba = angle_matrices(*_sample_angles(rng, size))
     entries = phase_entries(p_ac, p_ba, DEFAULT_SIGNS, flip_second_column=not violate)
-    passed = bool(np.all(row_sum_residuals(entries) <= _TOL))
+    passed = bool(np.all(row_sum_residuals(entries) <= NORMALIZATION_TOL))
     return (0.0 if passed else 1.0), passed
 
 
@@ -193,7 +190,7 @@ def _coefficient_roundtrip(rng: np.random.Generator, size: int) -> tuple[float, 
                 p_ac[:, 1, gamma], p_ba[:, beta, 1],
             )
             worst = max(worst, float(np.max(np.abs(lam - flip * cos_theta))))
-    return worst, worst <= _TOL
+    return worst, worst <= NORMALIZATION_TOL
 
 
 def _correlation_closed_form(rng: np.random.Generator, size: int) -> tuple[float, bool]:
@@ -203,7 +200,7 @@ def _correlation_closed_form(rng: np.random.Generator, size: int) -> tuple[float
     delta, p_plus = draws[:, 0], draws[:, 1]
     value = correlation_values(delta, p_plus, 1.0 - p_plus)
     worst = float(np.max(np.abs(value + np.cos(2.0 * delta))))
-    return worst, worst <= _TOL
+    return worst, worst <= NORMALIZATION_TOL
 
 
 def _chsh_bound(rng: np.random.Generator, size: int) -> tuple[float, bool]:
@@ -211,4 +208,4 @@ def _chsh_bound(rng: np.random.Generator, size: int) -> tuple[float, bool]:
     a, a_prime, b, b_prime = rng.uniform(0.0, 2.0 * np.pi, size=(size, 4)).T
     s = chsh_values(a, a_prime, b, b_prime, 0.5, 0.5)  # uniform selection marginal
     worst = float(np.max(np.maximum(np.abs(s) - _TSIRELSON, 0.0)))
-    return worst, worst <= _TOL
+    return worst, worst <= NORMALIZATION_TOL

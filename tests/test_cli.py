@@ -344,6 +344,12 @@ class TestSimulateCommand:
         code, _, _ = run(capsys, *self.BASE, "--n", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("n", [2**63, 2**64])
+    def test_a_count_from_two_to_the_63_exits_two_before_running(self, capsys, n):
+        code, out, err = run(capsys, *self.BASE, "--n", str(n), "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == f"error: n_pairs must be a positive integer, got {n}\n"
+
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_output_into_missing_directory_exits_two_before_computing(
         self, capsys, tmp_path, monkeypatch, flag
@@ -791,8 +797,9 @@ class TestSimulateJsonRoundTrip:
 
 # Each value is drawn half the time from ordinary tokens and half from tokens
 # chosen to break parsing or validation: non-finite and signed-zero floats,
-# the smallest subnormal, near-overflow values, 2**64 written both ways, empty
-# fields and words. Valid counts stay small so every run is quick.
+# the smallest subnormal, near-overflow values, 2**64 written both ways,
+# counts of 2**63 and up, empty fields and words. Valid counts stay small so
+# every run is quick.
 FLOATS = st.one_of(
     st.sampled_from(["0.3", "0.5", "1", "0.7853981633974483", "45"]),
     st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "5e-324", "1e308", "-1e308", "1.5",
@@ -804,7 +811,7 @@ FOUR_FLOATS = st.one_of(  # column-stochastic matrices, and wrong comma counts t
 )
 COUNTS = st.one_of(
     st.sampled_from(["1", "3", "17"]),
-    st.sampled_from(["0", "-1", "", "2**64", "1e308", "nan"]),
+    st.sampled_from(["0", "-1", "", "2**64", "1e308", "nan", str(2**63), str(2**64)]),
 )
 SEEDS = st.one_of(
     st.sampled_from(["0", "7", str((1 << 64) - 1)]),

@@ -94,21 +94,25 @@ class TestTransitionMatrix:
         assert col == BinaryDistribution(0.4, 0.6)
 
     def test_rejects_bad_column_sum(self):
-        with pytest.raises(InvalidMatrix, match="column stochasticity"):
-            TransitionMatrix(np.array([[0.5, 0.5], [0.4, 0.5]]))
+        with pytest.raises(InvalidMatrix) as excinfo:
+            TransitionMatrix(np.array([[0.5, 0.6], [0.6, 0.4]]))
+        assert str(excinfo.value) == "column stochasticity violated: column sums are [1.1, 1.0]"
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(InvalidMatrix) as excinfo:
             TransitionMatrix(np.ones((2, 3)) / 2.0)
+        assert str(excinfo.value) == "expected a 2x2 matrix, got shape (2, 3)"
 
     def test_rejects_entry_outside_unit_interval(self):
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(InvalidMatrix) as excinfo:
             TransitionMatrix(np.array([[1.2, 0.5], [-0.2, 0.5]]))
+        assert str(excinfo.value) == "entries must lie in [0, 1]"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_entry(self, bad):
-        with pytest.raises(InvalidMatrix, match="finite"):
+        with pytest.raises(InvalidMatrix) as excinfo:
             TransitionMatrix(np.array([[bad, 0.5], [0.5, 0.5]]))
+        assert str(excinfo.value) == "entries must be finite"
 
     def test_entries_frozen(self):
         m = TransitionMatrix.uniform()

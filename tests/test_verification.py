@@ -259,12 +259,18 @@ def test_rejects_a_seed_outside_the_64_bit_integers(seed, entry):
         call_entry_point(entry, 5, seed)
 
 
-@pytest.mark.parametrize("count", [0, -1, 1.5, True, "x"])
+@pytest.mark.parametrize("count", [0, -1, 1.5, True, "x", 2**63, 2**70])
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_rejects_a_count_that_is_not_a_positive_integer(count, entry):
-    # One check, errors.require_count, guards every counted entry point.
+    # One check, errors.require_count, guards every counted entry point. A
+    # count from 2**63 up is refused before any trial runs.
     with pytest.raises(InvalidCount, match="must be a positive integer"):
         call_entry_point(entry, count, 1)
+
+
+def test_the_largest_count_still_configures_a_run():
+    # Construction only: running 2**63 - 1 trials would never finish.
+    assert call_entry_point("SimConfig", 2**63 - 1, 1).n_pairs == 2**63 - 1
 
 
 @settings(max_examples=30, deadline=None)
