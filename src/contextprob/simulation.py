@@ -93,10 +93,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_pairs", require_count(self.n_pairs, "n_pairs"))
         object.__setattr__(self, "seed", require_seed(self.seed))
-        if not isinstance(self.time_distribution, TimeDistribution):
-            raise PreconditionViolation(
-                f"time_distribution must be a TimeDistribution, got {self.time_distribution!r}"
-            )
+        for name, kind in (("angles", AnglePair), ("marginal_c", BinaryDistribution),
+                           ("time_distribution", TimeDistribution)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise PreconditionViolation(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,16 +194,16 @@ def _uniform_bits(raw: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _word_blocks(key: np.ndarray, start: int, stop: int, block: int, width=4, first_word=0):
+def _word_blocks(key: np.ndarray, start: int, stop: int, block: int, width=4):
     """Yield ``(lo, bits)`` for the trials in ``range(start, stop)``, ``block`` at a time.
 
     Row ``i`` of ``bits`` holds the ``width`` words of trial ``lo + i``, which
-    start at word ``first_word + width * (lo + i)`` of the Philox stream for
-    ``key``, as :func:`_uniform_bits`. With the default ``width`` of 4, trial
-    ``i`` owns exactly Philox block ``i``. The stream is read in order from
-    trial ``start`` on, so neither the block size nor ``start`` changes a word.
+    start at word ``width * (lo + i)`` of the Philox stream for ``key``, as
+    :func:`_uniform_bits`: trial ``i`` owns Philox block ``i`` at the default
+    ``width`` of 4, and is word ``i`` at ``width`` 1. The stream is read in order
+    from trial ``start`` on, so neither the block size nor ``start`` changes a word.
     """
-    word = first_word + width * start
+    word = width * start
     bitgen = np.random.Philox(key=key, counter=word // 4)
     bitgen.random_raw(word % 4)
     for lo in range(start, stop, block):
@@ -301,7 +301,7 @@ def _simulate_counts(
     t_gamma = _threshold(q_plus)
     t_beta = np.array([_threshold(cond[0, 0]), _threshold(cond[0, 1])], dtype=np.uint64)
 
-    def count(start: int, stop: int, block: int, log: IO[str] | None = None) -> np.ndarray:
+    def count(start: int, stop: int, block: int) -> np.ndarray:
         totals = np.zeros(5, dtype=np.int64)  # the four cells, then the redraws
         for lo, bits in _word_blocks(key, start, stop, block):
             gamma_minus = bits[:, 2] >= t_gamma
@@ -310,11 +310,11 @@ def _simulate_counts(
             cells |= gamma_minus.view(np.uint8)
             totals[:4] += np.bincount(cells, minlength=4)
             totals[4] += _redraw_ties(key, lo, bits, time_distribution)
-            if log is not None:
-                _write_trial_lines(log, *_event_times(bits, time_distribution), cells)
+            if trial_log is not None:
+                _write_trial_lines(trial_log, *_event_times(bits, time_distribution), cells)
         return totals
 
-    totals = sum(_split(n, count)) if trial_log is None else count(0, n, _TRACE_BLOCK, trial_log)
+    totals = sum(_split(n, count)) if trial_log is None else count(0, n, _TRACE_BLOCK)
     return totals[:4].reshape(2, 2), totals[4]
 
 
@@ -432,16 +432,18 @@ def simulate_chsh(
     return _scan((a, a_prime, b, b_prime), n_per_setting, seed, 0, agreements)
 
 
-def _sign_flips(x: float) -> tuple[bool, list[int]]:
-    """The sign of ``cos(x - hidden)`` at word 0, and each word where it flips.
+def _sign_flips(x: float) -> list[int]:
+    """Each word where the sign of ``cos(x - hidden)`` flips, counted from ``+``.
 
-    ``x - hidden(k)`` is monotone in the word ``k`` after rounding, so the sign
-    flips only where it passes a zero of the cosine. Each of ``_FLIP_CELLS``
-    equal cells of the words spans ``2 pi / _FLIP_CELLS`` of angle plus
-    rounding, far below the ``pi`` between zeros, or rounds to at most two
-    arguments: it holds at most one flip. A cell whose ends differ is cut again,
-    down to single words. The grid end ``2**53`` is no word, never passed.
+    A sign that is ``-`` at word 0 gets threshold 0 first, which every word
+    passes. ``x - hidden(k)`` is monotone in the word ``k`` after rounding, so
+    the sign flips only where it passes a zero of the cosine. Each of
+    ``_FLIP_CELLS`` equal cells of the words spans ``2 pi / _FLIP_CELLS`` of
+    angle plus rounding, far below the ``pi`` between zeros, or rounds to at most
+    two arguments: it holds at most one flip. A cell whose ends differ is cut
+    again, down to single words. The grid end ``2**53`` is no word, never passed.
     """
+    flips = [] if np.cos(x) >= 0.0 else [0]
     lo = np.zeros(1, dtype=np.uint64)  # left ends of the cells holding a flip
     width = 1 << 53
     while width > 1:
@@ -449,19 +451,16 @@ def _sign_flips(x: float) -> tuple[bool, list[int]]:
         words = lo[:, None] + np.uint64(step) * np.arange(width // step + 1, dtype=np.uint64)
         # the hidden angle of a float model, Generator.random() * 2 pi
         signs = np.cos(x - words * _UNIT * (2.0 * math.pi)) >= 0.0
-        if width == 1 << 53:
-            start = bool(signs[0, 0])
         rows, cols = np.nonzero(signs[:, 1:] != signs[:, :-1])
         lo, width = words[rows, cols], step
-    return start, (lo + np.uint64(1)).tolist()
+    return flips + (lo + np.uint64(1)).tolist()
 
 
-def _sign_agreements(x: tuple, y: tuple, n: int, key: np.ndarray) -> int:
-    # A side's sign at word k is its sign at word 0, flipped by each of its
-    # thresholds at or below k (x, y are _sign_flips), so the sides agree where
-    # k has passed an even number of the merged thresholds, unless they start apart.
-    (start_x, flips_x), (start_y, flips_y) = x, y
-    flips = sorted(flips_x + flips_y)
+def _sign_agreements(x: list, y: list, n: int, key: np.ndarray) -> int:
+    # Both sides start at + and flip at each of their thresholds at or below the
+    # word k (x, y are _sign_flips), so they agree where k has passed an even
+    # number of the merged thresholds.
+    flips = sorted(x + y)
 
     def count(start: int, stop: int, block: int) -> int:
         even = stop - start  # trials - passed(1st) + passed(2nd) - ...
@@ -471,17 +470,16 @@ def _sign_agreements(x: tuple, y: tuple, n: int, key: np.ndarray) -> int:
                 even += passed if i % 2 else -passed
         return even
 
-    even = sum(_split(n, count))
-    return even if start_x == start_y else n - even
+    return sum(_split(n, count))
 
 
 def _coin_agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
-    # side a reads words 0 .. n-1, side b words n .. 2n-1
+    # one word per trial: side a reads trials 0 .. n-1, side b trials n .. 2n-1
     half = _threshold(0.5)
 
     def count(start: int, stop: int, block: int) -> int:
         sides = zip(_word_blocks(key, start, stop, block, width=1),
-                    _word_blocks(key, start, stop, block, width=1, first_word=n))
+                    _word_blocks(key, n + start, n + stop, block, width=1))
         return sum(int(np.count_nonzero((a >= half) == (b >= half))) for (_, a), (_, b) in sides)
 
     return sum(_split(n, count))

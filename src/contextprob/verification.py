@@ -63,12 +63,12 @@ class PropertyCheck:
     passed: bool
 
 
-def _sweep(rng: np.random.Generator, n_samples: int, block_check, *args) -> tuple[float, bool]:
-    # ``block_check(rng, size, *args)`` draws ``size`` samples and returns the
+def _sweep(rng: np.random.Generator, n_samples: int, block_check) -> tuple[float, bool]:
+    # ``block_check(rng, size)`` draws ``size`` samples and returns the
     # block's worst residual and whether every sample in it passed.
     worst, passed = 0.0, True
     for start in range(0, n_samples, _BLOCK):
-        block_worst, block_passed = block_check(rng, min(_BLOCK, n_samples - start), *args)
+        block_worst, block_passed = block_check(rng, min(_BLOCK, n_samples - start))
         worst = max(worst, block_worst)
         passed = passed and block_passed
     return worst, passed
@@ -109,8 +109,8 @@ def run_property_suite(
     n_samples = require_count(n_samples, "n_samples")
     rng = np.random.default_rng(require_seed(seed))
 
-    def check(name: str, block_check, *args) -> PropertyCheck:
-        return PropertyCheck(name, n_samples, *_sweep(rng, n_samples, block_check, *args))
+    def check(name: str, block_check) -> PropertyCheck:
+        return PropertyCheck(name, n_samples, *_sweep(rng, n_samples, block_check))
 
     flip_name = (
         "selection-phase-flip (flip suppressed)" if break_phase_flip else "selection-phase-flip"
@@ -120,7 +120,7 @@ def run_property_suite(
         check("reconstruction-agreement", _reconstruction_agreement),
         check("double-stochasticity", _double_stochasticity),
         check("phase-opposition", _phase_opposition),
-        check(flip_name, _selection_phase_flip, break_phase_flip),
+        check(flip_name, lambda rng, size: _selection_phase_flip(rng, size, break_phase_flip)),
         check("coefficient-roundtrip", _coefficient_roundtrip),
         check("correlation-closed-form", _correlation_closed_form),
         check("chsh-bound", _chsh_bound),

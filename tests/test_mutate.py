@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import os
 import sys
 import time
@@ -51,6 +52,26 @@ def test_each_statement_in_a_function_and_each_comparison_is_one_mutant():
     assert [line[8] for line in lines[4:]] == ["    pass", "    return x <= (y)"]
     for m in found:
         ast.parse(m.apply(SOURCE))
+
+
+def test_a_survivor_on_the_equivalents_list_is_reported_as_equivalent():
+    found, lines = mutate.mutants(SOURCE), SOURCE.decode().splitlines()
+    listed = {("m.py", "if x >= LIMIT and y is not None:", ">=", ">")}
+    statuses = [mutate.classify(status, "m.py", lines, m, listed)
+                for m in found[1:3] for status in ("survived", "killed")]
+    assert statuses == ["equivalent", "killed", "survived", "killed"]
+    assert mutate.classify("survived", "other.py", lines, found[1], listed) == "survived"
+
+
+def test_every_listed_equivalent_is_a_mutant_of_the_source_it_names():
+    # an entry left behind by an edit to its line would match nothing
+    entries = json.loads(mutate.EQUIVALENTS.read_text())
+    assert len(mutate.load_equivalents()) == len(entries)  # no entry twice
+    for entry in entries:
+        source = (mutate.ROOT / entry["file"]).read_bytes()
+        lines = source.decode().splitlines()
+        keys = {(lines[m.line - 1].strip(), m.before, m.after) for m in mutate.mutants(source)}
+        assert (entry["line"], entry["before"], entry["after"]) in keys and entry["why"], entry
 
 
 def test_a_test_process_that_ends_before_its_session_kills_the_mutant(tmp_path):

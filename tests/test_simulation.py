@@ -62,8 +62,20 @@ class TestSimConfig:
             config(n=-5)
 
     def test_rejects_a_time_mode_that_is_not_the_enum(self):
-        with pytest.raises(PreconditionViolation, match="TimeDistribution"):
+        with pytest.raises(PreconditionViolation) as info:
             config(mode="uniform-square")
+        assert str(info.value) == (
+            "time_distribution must be a TimeDistribution, got 'uniform-square'"
+        )
+
+    def test_rejects_angles_and_a_marginal_of_the_wrong_type(self):
+        uniform = BinaryDistribution.uniform()
+        with pytest.raises(PreconditionViolation) as info:
+            SimConfig((0.3, 0.2), uniform, 10, 1)
+        assert str(info.value) == "angles must be a AnglePair, got (0.3, 0.2)"
+        with pytest.raises(PreconditionViolation) as info:
+            SimConfig(AnglePair(0.3, 0.2), 0.5, 10, 1)
+        assert str(info.value) == "marginal_c must be a BinaryDistribution, got 0.5"
 
     def test_rejects_seed_outside_64_bits(self):
         with pytest.raises(PreconditionViolation):
@@ -614,7 +626,8 @@ class TestCountingKernel:
         monkeypatch.setattr(simulation, "_WORKERS", 1)
         sides = simulation._sign_flips(x), simulation._sign_flips(y)
         key = simulation._philox_key(1)
-        for t in sides[0][1] + sides[1][1]:
+        # threshold 0 has no word below it: the cosine-sign property covers it
+        for t in [t for t in sides[0] + sides[1] if t > 0]:
             agree = []
             for k in (t - 1, t):
                 word[:] = [k]
@@ -641,12 +654,15 @@ class TestCountingKernel:
             (x, math.copysign(1.0, x)) for x in angles
         ]
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 1_003])
     @pytest.mark.parametrize("block", [None, 1, 3, 64])
     @pytest.mark.parametrize("angles", SETTINGS_OF_EVERY_MAGNITUDE)
-    def test_baselines_match_the_one_shot_reference(self, monkeypatch, n, block, angles):
-        # random-local's second side starts at word n, which is inside a
-        # Philox block whenever n % 4 != 0
+    def test_baselines_match_the_one_shot_reference(self, monkeypatch, workers, n, block, angles):
+        # random-local's second side reads trials n + start .. n + stop - 1 of
+        # each range, which start inside a Philox block whenever n + start is
+        # no multiple of 4
+        monkeypatch.setattr(simulation, "_WORKERS", workers)
         if block is not None:
             monkeypatch.setattr(simulation, "_BLOCK", block)
         for strategy in LhvStrategy:
@@ -802,8 +818,11 @@ def test_model_scan_matches_the_reference_at_any_finite_settings(
 @example(x=2.0**53)
 @example(x=MAX_FLOAT)
 @example(x=-MAX_FLOAT)
+@example(x=math.pi)  # - at word 0, so threshold 0 comes first
+@example(x=2.0)
 def test_sign_thresholds_equal_the_cosine_sign_next_to_every_flip(x):
-    start, flips = simulation._sign_flips(x)
+    # the sign is + where a word has passed an even number of thresholds
+    flips = simulation._sign_flips(x)
     assert flips == sorted(set(flips))
     words = {0, 1, 2**53 - 2, 2**53 - 1}
     for t in flips:
@@ -811,7 +830,7 @@ def test_sign_thresholds_equal_the_cosine_sign_next_to_every_flip(x):
     words = np.array(sorted(words), dtype=np.uint64)
     cosine = np.cos(x - words * 2.0**-53 * (2.0 * math.pi)) >= 0.0
     passed = np.searchsorted(np.array(flips, dtype=np.uint64), words, side="right")
-    np.testing.assert_array_equal(start ^ (passed % 2 == 1), cosine)
+    np.testing.assert_array_equal(passed % 2 == 0, cosine)
 
 
 # ---------------------------------------------------------------- threads

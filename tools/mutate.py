@@ -11,8 +11,9 @@ named test files run with ``pytest -x`` under a 300 s timeout, in a session of
 their own whose every process is killed when the run ends. One JSON line
 per mutant goes to stdout: its file, line, kind, the code it changed, and
 whether it was killed (a test failed, or the test process ended before its
-session did), survived (every test passed) or timed out. A summary per file
-goes to stderr at the end.
+session did), survived (every test passed), equivalent (it survived, and
+``tools/equivalent_mutants.json`` argues that no input can tell it from the
+code) or timed out. A summary per file goes to stderr at the end.
 
 The score is a trajectory, not a gate: a surviving mutant marks either a
 missing test or code that nothing needs. Standard library only; the tests
@@ -50,6 +51,7 @@ _PAIRS = [(ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq), (ast.Is, as
 SWAPS = {a: b for pair in _PAIRS for a, b in (pair, pair[::-1])}
 TIMEOUT = 300.0  # seconds per test run
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.pyc")
+EQUIVALENTS = ROOT / "tools" / "equivalent_mutants.json"
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,18 @@ def mutants(source: bytes) -> list[Mutant]:
     return sorted(found, key=lambda m: (m.start, m.kind))
 
 
+def load_equivalents() -> set[tuple[str, str, str, str]]:
+    """The known equivalent mutants as ``(file, stripped source line, before, after)``."""
+    entries = json.loads(EQUIVALENTS.read_text())
+    return {(e["file"], e["line"], e["before"], e["after"]) for e in entries}
+
+
+def classify(status: str, name: str, lines: list[str], mutant: Mutant, equivalents: set) -> str:
+    """``status``, or ``equivalent`` for a survivor that ``equivalents`` lists."""
+    key = (name, lines[mutant.line - 1].strip(), mutant.before, mutant.after)
+    return "equivalent" if status == "survived" and key in equivalents else status
+
+
 def _run_tests(copy: Path, tests: list[str]) -> tuple[str, float]:
     # A run passes only if pytest also finished its session, which writes the
     # report: a mutant can end the test process early with status 0 (an
@@ -148,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("files", nargs="+", help="source files to mutate, relative to the root")
     parser.add_argument("--tests", nargs="+", required=True, help="test files to run per mutant")
     args = parser.parse_args(argv)
-    scores = {}
+    scores, equivalents = {}, load_equivalents()
     with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
         copy = Path(scratch) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
@@ -159,7 +173,9 @@ def main(argv: list[str] | None = None) -> int:
         for name in args.files:
             target = copy / name
             original = target.read_bytes()
-            tally = scores.setdefault(name, {"killed": 0, "survived": 0, "timeout": 0})
+            lines = original.decode().splitlines()
+            tally = scores.setdefault(name, dict.fromkeys(("killed", "survived", "equivalent",
+                                                           "timeout"), 0))
             try:
                 for mutant in mutants(original):
                     mutated = mutant.apply(original)
@@ -169,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
                         continue
                     target.write_bytes(mutated)
                     status, seconds = _run_tests(copy, args.tests)
+                    status = classify(status, Path(name).as_posix(), lines, mutant, equivalents)
                     tally[status] += 1
                     record = {"file": name, "line": mutant.line, "kind": mutant.kind,
                               "before": mutant.before, "after": mutant.after,
@@ -180,7 +197,8 @@ def main(argv: list[str] | None = None) -> int:
         total = sum(tally.values())
         score = tally["killed"] / total if total else float("nan")
         print(f"{name}: {tally['killed']}/{total} killed ({score:.0%}), "
-              f"{tally['survived']} survived, {tally['timeout']} timed out", file=sys.stderr)
+              f"{tally['survived']} survived, {tally['equivalent']} equivalent, "
+              f"{tally['timeout']} timed out", file=sys.stderr)
     return 0
 
 if __name__ == "__main__":
