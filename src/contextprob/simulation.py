@@ -23,15 +23,16 @@ exact integer sums and extremes are combined in range order. A trace is
 counted and written on the caller's thread alone, in trial order. Trials go
 in blocks of a fixed internal size, so peak memory does not grow with the
 trial count; neither the block size nor the thread count ever changes an
-output byte or a returned bit. Each word decides its uniform
-``u = (word >> 11) * 2**-53`` exactly as ``Generator.random`` does, compared
-as an integer. The fixed-order time mode skips words 0 and 1
-but never re-purposes them, so switching time modes leaves the (gamma, beta)
-stream untouched. The rare trial whose two time words have equal ``k`` is
-re-drawn by the same ``>> 11`` word rule, from a reserved counter range far
-above the trial range (offset ``2**64``), again addressed by trial index.
-Times stay grid words ``k`` until a trace prints them as ``k * 2**-53``, in
-the shortest digits that read back to the same double, as ``repr`` does.
+output byte or a returned bit. Each raw word is compared with ``t << 11``
+for the integer threshold ``t = ceil(p * 2**53)``, which decides exactly as
+``Generator.random() < p`` does on the same word, ``(word >> 11) * 2**-53``.
+The fixed-order time mode skips words 0 and 1 but never re-purposes them, so
+switching time modes leaves the (gamma, beta) stream untouched. Two time words
+tie when they are equal above bit 11, so give the same double; the rare tied
+trial is re-drawn from a reserved counter range far above the trial range
+(offset ``2**64``), again addressed by trial index. Times stay grid words
+``k = word >> 11`` until a trace prints them as ``k * 2**-53``, in the
+shortest digits that read back to the same double, as ``repr`` does.
 
 Four-setting scans derive one child seed per setting pair from the root seed,
 so the pairs are independent but the whole scan replays from a single integer.
@@ -60,8 +61,8 @@ _TRACE_BLOCK = 1 << 12  # trials per pass of a traced run, whose time texts are 
 # counting threads, at most the usable cores (all cores where affinity is unknown)
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-_MANTISSA_SHIFT = np.uint64(11)
-_UNIT = 2.0**-53  # Generator.random() is (word >> 11) * _UNIT
+_LOW_BITS = 11  # Generator.random() is (word >> _LOW_BITS) * _UNIT
+_UNIT = 2.0**-53
 _REDRAW_COUNTER_BASE = 1 << 64
 _LIMBS = np.array([[0], [18], [36]], dtype=np.uint64)  # shifts of a gap word's limbs
 
@@ -178,37 +179,28 @@ def _child_seed(seed: int, branch: int, index: int) -> int:
 
 
 def _threshold(p: float) -> int:
-    # Generator.random() < p  <=>  (raw >> 11) < ceil(p * 2**53); scaling by a
-    # power of two is exact, so no double rounds the wrong way.
+    # Generator.random() < p  <=>  (raw >> 11) < t  <=>  raw < t << 11 for
+    # t = ceil(p * 2**53); scaling by a power of two is exact, so no double
+    # rounds the wrong way. Raw words are compared with t << 11, a Python int
+    # up to 2**64 (p = 1), which numpy compares with a uint64 exactly.
     return math.ceil(p * 2**53)
 
 
-def _uniform_bits(raw: np.ndarray) -> np.ndarray:
-    """The 53-bit integers ``k`` of raw Philox words, shifted in place.
-
-    numpy's Philox double is ``k * 2**-53`` with ``k = raw >> 11``, so two
-    doubles are equal exactly when their ``k`` are, and the low 11 bits of a
-    word never matter.
-    """
-    raw >>= _MANTISSA_SHIFT
-    return raw
-
-
 def _word_blocks(key: np.ndarray, start: int, stop: int, block: int, width=4):
-    """Yield ``(lo, bits)`` for the trials in ``range(start, stop)``, ``block`` at a time.
+    """Yield ``(lo, words)`` for the trials in ``range(start, stop)``, ``block`` at a time.
 
-    Row ``i`` of ``bits`` holds the ``width`` words of trial ``lo + i``, which
-    start at word ``width * (lo + i)`` of the Philox stream for ``key``, as
-    :func:`_uniform_bits`: trial ``i`` owns Philox block ``i`` at the default
-    ``width`` of 4, and is word ``i`` at ``width`` 1. The stream is read in order
-    from trial ``start`` on, so neither the block size nor ``start`` changes a word.
+    Row ``i`` of ``words`` holds the ``width`` raw words of trial ``lo + i``,
+    which start at word ``width * (lo + i)`` of the Philox stream for ``key``:
+    trial ``i`` owns Philox block ``i`` at the default ``width`` of 4, and is
+    word ``i`` at ``width`` 1. The stream is read in order from trial ``start``
+    on, so neither the block size nor ``start`` changes a word.
     """
     word = width * start
     bitgen = np.random.Philox(key=key, counter=word // 4)
     bitgen.random_raw(word % 4)
     for lo in range(start, stop, block):
         m = min(block, stop - lo)
-        yield lo, _uniform_bits(bitgen.random_raw(width * m).reshape(m, width))
+        yield lo, bitgen.random_raw(width * m).reshape(m, width)
 
 
 def _split(n: int, count) -> list:
@@ -237,27 +229,38 @@ def _split(n: int, count) -> list:
     return results
 
 
-def _redraw_ties(key: np.ndarray, lo: int, bits: np.ndarray, mode: TimeDistribution) -> int:
-    # Re-draw each trial whose two time words tie, in place, by the same
-    # ``>> 11`` rule from its own stream, disjoint from every trial block (trial
+def _tied(first, second):
+    # two raw words tie when they are equal above bit 11, so give the same double
+    return (first ^ second) < 1 << _LOW_BITS
+
+
+def _redraw_ties(key: np.ndarray, lo: int, words: np.ndarray, mode: TimeDistribution) -> int:
+    # Re-draw each trial whose two time words tie, in place, a pair at a time
+    # from its own Philox block on, disjoint from every trial block (trial
     # counters are below 2**64), until they differ. Returns the pairs drawn.
     if mode is TimeDistribution.FIXED_ORDER:
         return 0
     n_redraws = 0
-    for row in np.flatnonzero(bits[:, 0] == bits[:, 1]).tolist():
-        bitgen = np.random.Philox(key=key, counter=_REDRAW_COUNTER_BASE + lo + row)
-        while bits[row, 0] == bits[row, 1]:
-            bits[row, :2] = _uniform_bits(bitgen.random_raw(2).reshape(1, 2))[0]
+    for row in np.flatnonzero(_tied(words[:, 0], words[:, 1])).tolist():
+        pair = 2 * (_REDRAW_COUNTER_BASE + lo + row)  # pairs are trials of width 2
+        while _tied(words[row, 0], words[row, 1]):
+            _, drawn = next(_word_blocks(key, pair, pair + 1, 1, width=2))
+            words[row, :2] = drawn[0]
+            pair += 1
             n_redraws += 1
     return n_redraws
 
 
-def _event_times(bits: np.ndarray, mode: TimeDistribution) -> tuple[np.ndarray, np.ndarray]:
-    # (selection, measurement) time words once _redraw_ties has untied them; the
-    # time of word k is k * _UNIT, exact, so the fixed order's 0 and 1 are 0 and 2**53
+def _event_times(words: np.ndarray, mode: TimeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    # (selection, measurement) grid words k = word >> 11 once _redraw_ties has
+    # untied them; the time of k is k * _UNIT, exact, so the fixed order's 0 and
+    # 1 are 0 and 2**53. The shift keeps order, so it runs on the ordered words.
     if mode is TimeDistribution.FIXED_ORDER:
-        return np.zeros(len(bits), np.uint64), np.full(len(bits), 1 << 53, np.uint64)
-    return np.minimum(bits[:, 0], bits[:, 1]), np.maximum(bits[:, 0], bits[:, 1])
+        return np.zeros(len(words), np.uint64), np.full(len(words), 1 << 53, np.uint64)
+    t_sel, t_meas = np.minimum(words[:, 0], words[:, 1]), np.maximum(words[:, 0], words[:, 1])
+    t_sel >>= _LOW_BITS
+    t_meas >>= _LOW_BITS
+    return t_sel, t_meas
 
 
 # a trace line's gamma and beta, indexed by the trial's cell 2 * beta_minus + gamma_minus
@@ -298,24 +301,33 @@ def _simulate_counts(
     time_distribution: TimeDistribution,
     trial_log: IO[str] | None = None,
 ) -> tuple[np.ndarray, np.int64]:
-    t_gamma = _threshold(q_plus)
-    t_beta = np.array([_threshold(cond[0, 0]), _threshold(cond[0, 1])], dtype=np.uint64)
+    t_gamma = _threshold(q_plus) << _LOW_BITS
+    t_beta = [_threshold(p) << _LOW_BITS for p in cond[0]]  # under gamma +, then gamma -
 
     def count(start: int, stop: int, block: int) -> np.ndarray:
-        totals = np.zeros(5, dtype=np.int64)  # the four cells, then the redraws
-        for lo, bits in _word_blocks(key, start, stop, block):
-            gamma_minus = bits[:, 2] >= t_gamma
-            beta_minus = bits[:, 3] >= t_beta[gamma_minus.view(np.uint8)]
-            cells = beta_minus.view(np.uint8) << 1  # row-major index into the cells
-            cells |= gamma_minus.view(np.uint8)
-            totals[:4] += np.bincount(cells, minlength=4)
-            totals[4] += _redraw_ties(key, lo, bits, time_distribution)
+        # the trials with gamma -, with beta - under gamma + and under gamma -, the redraws
+        totals = np.zeros(4, dtype=np.int64)
+        for lo, words in _word_blocks(key, start, stop, block):
+            gamma_minus = words[:, 2] >= t_gamma
+            # beta - as each trial would read it under gamma +, and under gamma -
+            beta_minus, beta_minus_if_minus = (words[:, 3] >= t for t in t_beta)
+            totals += (np.count_nonzero(gamma_minus),
+                       np.count_nonzero(beta_minus > gamma_minus),  # and gamma +
+                       np.count_nonzero(beta_minus_if_minus & gamma_minus),
+                       _redraw_ties(key, lo, words, time_distribution))
             if trial_log is not None:
-                _write_trial_lines(trial_log, *_event_times(bits, time_distribution), cells)
+                np.copyto(beta_minus, beta_minus_if_minus, where=gamma_minus)  # its own
+                cells = beta_minus.view(np.uint8)  # row-major index into the cells, in place
+                cells <<= 1
+                cells |= gamma_minus.view(np.uint8)
+                _write_trial_lines(trial_log, *_event_times(words, time_distribution), cells)
         return totals
 
     totals = sum(_split(n, count)) if trial_log is None else count(0, n, _TRACE_BLOCK)
-    return totals[:4].reshape(2, 2), totals[4]
+    gamma_minus, beta_minus_if_plus, beta_minus_if_minus, n_redraws = totals
+    counts = np.array([[n - gamma_minus - beta_minus_if_plus, gamma_minus - beta_minus_if_minus],
+                       [beta_minus_if_plus, beta_minus_if_minus]])
+    return counts, n_redraws
 
 
 def run_simulation(config: SimConfig, *, trial_log: IO[str] | None = None) -> SimReport:
@@ -363,9 +375,9 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
         # d < 2**54 in three 18-bit limbs: each limb product is below 2**36, so
         # no block under 2**28 trials wraps the uint64 sums of the nine products
         redraws, s1, s2, low, high = 0, 0, 0, math.inf, -math.inf
-        for lo, bits in _word_blocks(key, start, stop, block):
-            redraws += _redraw_ties(key, lo, bits, mode)
-            t_sel, t_meas = _event_times(bits, mode)
+        for lo, words in _word_blocks(key, start, stop, block):
+            redraws += _redraw_ties(key, lo, words, mode)
+            t_sel, t_meas = _event_times(words, mode)
             d = t_meas - t_sel
             limbs = (d >> _LIMBS) & np.uint64(2**18 - 1)
             sums, pairs = limbs.sum(axis=1).tolist(), (limbs @ limbs.T).tolist()
@@ -459,14 +471,14 @@ def _sign_flips(x: float) -> list[int]:
 def _sign_agreements(x: list, y: list, n: int, key: np.ndarray) -> int:
     # Both sides start at + and flip at each of their thresholds at or below the
     # word k (x, y are _sign_flips), so they agree where k has passed an even
-    # number of the merged thresholds.
-    flips = sorted(x + y)
+    # number of the merged thresholds: where the raw word has passed them << 11.
+    flips = sorted(t << _LOW_BITS for t in x + y)
 
     def count(start: int, stop: int, block: int) -> int:
         even = stop - start  # trials - passed(1st) + passed(2nd) - ...
-        for _, bits in _word_blocks(key, start, stop, block, width=1):
+        for _, words in _word_blocks(key, start, stop, block, width=1):
             for i, t in enumerate(flips):
-                passed = int(np.count_nonzero(bits >= t))
+                passed = int(np.count_nonzero(words >= t))
                 even += passed if i % 2 else -passed
         return even
 
@@ -475,7 +487,7 @@ def _sign_agreements(x: list, y: list, n: int, key: np.ndarray) -> int:
 
 def _coin_agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
     # one word per trial: side a reads trials 0 .. n-1, side b trials n .. 2n-1
-    half = _threshold(0.5)
+    half = _threshold(0.5) << _LOW_BITS
 
     def count(start: int, stop: int, block: int) -> int:
         sides = zip(_word_blocks(key, start, stop, block, width=1),

@@ -78,8 +78,19 @@ def test_a_test_process_that_ends_before_its_session_kills_the_mutant(tmp_path):
     # a mutant that makes the test process exit early with status 0 is no survivor
     (tmp_path / "test_pass.py").write_text("def test_pass():\n    pass\n")
     (tmp_path / "test_exit.py").write_text("import os\n\n\ndef test_exit():\n    os._exit(0)\n")
-    assert mutate._run_tests(tmp_path, ["test_pass.py"])[0] == "survived"
-    assert mutate._run_tests(tmp_path, ["test_exit.py"])[0] == "killed"
+    assert mutate._run_tests(tmp_path, ["test_pass.py"], 60.0)[0] == "survived"
+    assert mutate._run_tests(tmp_path, ["test_exit.py"], 60.0)[0] == "killed"
+
+
+def test_a_mutant_may_run_a_few_times_the_unmutated_tests_and_at_least_the_floor(tmp_path):
+    assert mutate.mutant_timeout(24.0) == 5.0 * 24.0
+    assert mutate.mutant_timeout(1.0) == mutate.mutant_timeout(0.0) == 60.0
+    # a run past its limit is a timeout, ended at the limit
+    (tmp_path / "test_hang.py").write_text(
+        "import time\n\n\ndef test_hang():\n    time.sleep(60)\n"
+    )
+    status, seconds = mutate._run_tests(tmp_path, ["test_hang.py"], 2.0)
+    assert status == "timeout" and 2.0 <= seconds < 30.0
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
@@ -90,7 +101,7 @@ def test_a_process_a_test_run_forks_ends_with_the_run(tmp_path):
         "    if pid == 0:\n        time.sleep(60)\n        os._exit(0)\n"
         "    open('child.pid', 'w').write(str(pid))\n"
     )
-    assert mutate._run_tests(tmp_path, ["test_fork.py"])[0] == "survived"
+    assert mutate._run_tests(tmp_path, ["test_fork.py"], 60.0)[0] == "survived"
     status = Path(f"/proc/{(tmp_path / 'child.pid').read_text()}/status")
 
     def alive():

@@ -363,12 +363,17 @@ class TestLhvBaseline:
 # kernel must reproduce them bit for bit.
 
 
-def reference_signs(u, delta, q):
+def reference_signs(u, cond, q):
     """(gamma, beta) as +-1 arrays from rows of four Generator.random() doubles."""
-    cond = conditional_probabilities(delta)
     gamma = np.where(u[:, 2] < q, 1, -1)
     beta = np.where(u[:, 3] < np.where(gamma == 1, cond[0, 0], cond[0, 1]), 1, -1)
     return gamma, beta
+
+
+def reference_counts(gamma, beta):
+    """The 2x2 counts, beta by row and gamma by column, + first."""
+    return np.array([[np.count_nonzero((beta == b) & (gamma == g)) for g in (1, -1)]
+                     for b in (1, -1)])
 
 
 def reference_run(cfg):
@@ -376,9 +381,9 @@ def reference_run(cfg):
     n = cfg.n_pairs
     key = simulation._philox_key(cfg.seed)
     u = np.random.Generator(np.random.Philox(key=key)).random(4 * n).reshape(n, 4)
-    gamma, beta = reference_signs(u, cfg.angles.delta, cfg.marginal_c.p_plus)
-    counts = np.array([[np.count_nonzero((beta == b) & (gamma == g)) for g in (1, -1)]
-                       for b in (1, -1)])
+    gamma, beta = reference_signs(u, conditional_probabilities(cfg.angles.delta),
+                                  cfg.marginal_c.p_plus)
+    counts = reference_counts(gamma, beta)
     if cfg.time_distribution is TimeDistribution.FIXED_ORDER:
         t_sel, t_meas = np.zeros(n), np.ones(n)
     else:
@@ -398,7 +403,7 @@ def reference_chsh(angles, q, n, seed):
     for k, (i, j) in enumerate(((0, 2), (0, 3), (1, 2), (1, 3))):
         key = simulation._philox_key(simulation._child_seed(seed, 0, k))
         u = np.random.Generator(np.random.Philox(key=key)).random(4 * n).reshape(n, 4)
-        gamma, beta = reference_signs(u, angles[i] - angles[j], q)
+        gamma, beta = reference_signs(u, conditional_probabilities(angles[i] - angles[j]), q)
         value += (1.0, -1.0, 1.0, 1.0)[k] * float(np.mean(gamma * beta))
     return value
 
@@ -420,6 +425,29 @@ def reference_baseline(angles, strategy, n, seed):
         value += (1.0, -1.0, 1.0, 1.0)[k] * float(np.mean(side_a * side_b))
     return value
 
+
+def edit_words(monkeypatch, edit):
+    """Pass every block of raw words that ``_word_blocks`` yields through ``edit`` first."""
+    word_blocks = simulation._word_blocks
+
+    def edited(*args, **kwargs):
+        for lo, words in word_blocks(*args, **kwargs):
+            edit(words)
+            yield lo, words
+
+    monkeypatch.setattr(simulation, "_word_blocks", edited)
+
+
+def tie(first, second):
+    """``second`` tied to ``first``: the top 53 bits of ``first``, the low 11 of ``second``."""
+    return first >> 11 << 11 | second & 0x7FF
+
+
+# raw words on, just below and at the top of the shifted thresholds of
+# 2**-53, 0.5 and 1 - 2**-53, and at both ends of the words
+EDGE_WORDS = [0, 0x7FF, 1 << 11, (1 << 11) | 0x7FF, (1 << 63) - 1, 1 << 63, (1 << 63) | 0x7FF,
+              ((2**53 - 1) << 11) - 1, (2**53 - 1) << 11, 2**64 - 1]
+EDGE_P = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]
 
 MAX_FLOAT = 1.7976931348623157e308
 SETTINGS_OF_EVERY_MAGNITUDE = [
@@ -451,24 +479,47 @@ class TestCountingKernel:
         key = simulation._philox_key(2024)
         raw = np.random.Philox(key=key).random_raw(4096)
         u = np.random.Generator(np.random.Philox(key=key)).random(4096)
-        bits = simulation._uniform_bits(raw)
         ps = [0.0, 1.0, 0.5, 1.0 - 2.0**-53, 2.0**-53, 5e-324]
-        for k in bits[:16].tolist():
+        for k in (raw[:16] >> np.uint64(11)).tolist():
             p = k * 2.0**-53
             ps += [p, float(np.nextafter(p, 1.0)), float(np.nextafter(p, -1.0))]
         for p in ps:
-            np.testing.assert_array_equal(bits < simulation._threshold(p), u < p)
+            np.testing.assert_array_equal(raw < simulation._threshold(p) << 11, u < p)
+
+    @pytest.mark.parametrize("mode", list(TimeDistribution))
+    @pytest.mark.parametrize("p", EDGE_P)
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["q_plus", "beta|gamma+", "beta|gamma-"])
+    def test_edge_probabilities_decide_like_generator_random(self, monkeypatch, at, p, mode):
+        # trials 0 .. 99 hold every pair of edge words as their gamma and beta
+        # words, the rest the stream's own; at p = 1 the shifted threshold is 2**64
+        probs = [0.5, 0.5, 0.5]
+        probs[at] = p
+        q, p_plus, p_minus = probs
+        n, key = 300, simulation._philox_key(99)
+        planted = np.array(list(itertools.product(EDGE_WORDS, repeat=2)), dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(4 * n).reshape(n, 4)
+        u[: len(planted), 2:] = (planted >> np.uint64(11)) * 2.0**-53
+
+        def plant(words):
+            if words.shape == (n, 4):  # the one block of the one range
+                words[: len(planted), 2:] = planted
+
+        edit_words(monkeypatch, plant)
+        monkeypatch.setattr(simulation, "_WORKERS", 1)
+        cond = np.array([[p_plus, p_minus], [1.0 - p_plus, 1.0 - p_minus]])
+        counts, n_redraws = simulation._simulate_counts(cond, q, n, key, mode)
+        assert counts.tolist() == reference_counts(*reference_signs(u, cond, q)).tolist()
+        assert n_redraws == 0
 
     def test_words_differing_only_in_low_bits_tie(self):
         w = 0x0123456789ABCDEF
         raw = np.array(
             [[w, w ^ 0x7FF, 0, 0], [w, w ^ 0x800, 0, 0], [w, w, 0, 0]], dtype=np.uint64
         )
-        bits = simulation._uniform_bits(raw)
         key = simulation._philox_key(1)
         mode = TimeDistribution.UNIFORM_SQUARE
-        redraws = simulation._redraw_ties(key, 10, bits, mode)
-        t_sel, t_meas = (k * 2.0**-53 for k in simulation._event_times(bits, mode))
+        redraws = simulation._redraw_ties(key, 10, raw, mode)
+        t_sel, t_meas = (k * 2.0**-53 for k in simulation._event_times(raw, mode))
         # the first and last rows are equal doubles, the middle one is not
         own = (w >> 11) * 2.0**-53
         assert [row for row in range(3) if own not in (t_sel[row], t_meas[row])] == [0, 2]
@@ -490,19 +541,17 @@ class TestCountingKernel:
         assert [t_sel[1], t_meas[1]] == ends
 
     def test_a_redraw_that_ties_again_draws_the_next_pair(self, monkeypatch):
-        uniform_bits, pairs = simulation._uniform_bits, []
+        pairs = []
 
-        def tie_trial_0_twice(raw):
-            bits = uniform_bits(raw)
-            if bits.shape[1] == 4:
-                bits[0, 1] = bits[0, 0]  # the block's first trial ties
+        def tie_trial_0_twice(words):
+            if words.shape[1] == 4:
+                words[0, 1] = tie(words[0, 0], words[0, 1])  # the block's first trial ties
             else:
-                pairs.append(bits[0].tolist())
+                pairs.append((words[0] >> np.uint64(11)).tolist())
                 if len(pairs) == 1:
-                    bits[0, 1] = bits[0, 0]  # and so does its first redraw pair
-            return bits
+                    words[0, 1] = tie(words[0, 0], words[0, 1])  # and so its first redraw pair
 
-        monkeypatch.setattr(simulation, "_uniform_bits", tie_trial_0_twice)
+        edit_words(monkeypatch, tie_trial_0_twice)
         log = io.StringIO()
         report = run_simulation(config(n=5, seed=8), trial_log=log)
         assert report.n_redraws == 2
@@ -521,7 +570,7 @@ class TestCountingKernel:
         # u < p is false at u == p: trial 0's gamma and beta words sitting exactly
         # on their thresholds both give -1, and one word below them both give +1
         key = simulation._philox_key(seed)
-        k = simulation._uniform_bits(np.random.Philox(key=key).random_raw(4)).tolist()
+        k = (np.random.Philox(key=key).random_raw(4) >> np.uint64(11)).tolist()
         u = np.random.Generator(np.random.Philox(key=key)).random(4)
         assert u[2:].tolist() == [k[2] * 2.0**-53, k[3] * 2.0**-53]
         q, p = (k[2] + step) * 2.0**-53, (k[3] + step) * 2.0**-53
@@ -531,16 +580,14 @@ class TestCountingKernel:
 
     def test_a_coin_word_on_one_half_says_minus(self, monkeypatch):
         # Generator.random() < 0.5 is false at exactly 0.5, on either side
-        uniform_bits, calls, half_side = simulation._uniform_bits, [], []
+        calls, half_side = [], []
 
-        def half_first(raw):
-            bits = uniform_bits(raw)
+        def half_first(words):
             if len(calls) == half_side[0]:
-                bits[0] = 2**52  # that side's first word: side a draws first
-            calls.append(bits.shape)
-            return bits
+                words[0] = 2**52 << 11  # that side's first word: side a draws first
+            calls.append(words.shape)
 
-        monkeypatch.setattr(simulation, "_uniform_bits", half_first)
+        edit_words(monkeypatch, half_first)
         monkeypatch.setattr(simulation, "_WORKERS", 1)
         for side, seed in itertools.product((0, 1), range(4)):
             calls.clear()
@@ -553,17 +600,13 @@ class TestCountingKernel:
     def test_forced_ties_count_the_same_redraws_with_and_without_a_trace(
         self, monkeypatch, workers, report_json
     ):
-        uniform_bits = simulation._uniform_bits
-
-        def tie_by_gamma_word(raw):
+        def tie_by_gamma_word(words):
             # ties follow a trial's own words, not where its block starts
-            bits = uniform_bits(raw)
-            if bits.shape[1] == 4:
-                tied = bits[:, 2] % 7 == 0
-                bits[tied, 1] = bits[tied, 0]
-            return bits
+            if words.shape[1] == 4:
+                tied = (words[:, 2] >> np.uint64(11)) % 7 == 0
+                words[tied, 1] = tie(words[tied, 0], words[tied, 1])
 
-        monkeypatch.setattr(simulation, "_uniform_bits", tie_by_gamma_word)
+        edit_words(monkeypatch, tie_by_gamma_word)
         monkeypatch.setattr(simulation, "_BLOCK", 64)
         monkeypatch.setattr(simulation, "_TRACE_BLOCK", 64)
         monkeypatch.setattr(simulation, "_WORKERS", workers)
@@ -576,30 +619,22 @@ class TestCountingKernel:
         # the fixed order reads no time word, so a tie there is no tie at all
         cfg = config(n=3_000, seed=4, mode=TimeDistribution.FIXED_ORDER)
         expected = run_simulation(cfg)
-        uniform_bits = simulation._uniform_bits
+        def tie_every_trial(words):
+            if words.shape[1] == 4:
+                words[:, 1] = tie(words[:, 0], words[:, 1])
 
-        def tie_every_trial(raw):
-            bits = uniform_bits(raw)
-            if bits.shape[1] == 4:
-                bits[:, 1] = bits[:, 0]
-            return bits
-
-        monkeypatch.setattr(simulation, "_uniform_bits", tie_every_trial)
+        edit_words(monkeypatch, tie_every_trial)
         report, stats = run_simulation(cfg), time_order_statistics(cfg)
         assert report.n_redraws == stats.n_redraws == 0
         assert report_json(report) == report_json(expected)
         assert stats.min_gap == stats.max_gap == 1.0
 
     def test_a_forced_tie_is_redrawn_for_the_gap_statistics_too(self, monkeypatch):
-        uniform_bits = simulation._uniform_bits
+        def tie_trial_0(words):
+            if words.shape[1] == 4:
+                words[0, 1] = tie(words[0, 0], words[0, 1])  # the block's first trial ties
 
-        def tie_trial_0(raw):
-            bits = uniform_bits(raw)
-            if bits.shape[1] == 4:
-                bits[0, 1] = bits[0, 0]  # the block's first trial ties
-            return bits
-
-        monkeypatch.setattr(simulation, "_uniform_bits", tie_trial_0)
+        edit_words(monkeypatch, tie_trial_0)
         monkeypatch.setattr(simulation, "_WORKERS", 1)
         cfg, log = config(n=5, seed=8), io.StringIO()
         report, stats = run_simulation(cfg, trial_log=log), time_order_statistics(cfg)
@@ -614,23 +649,22 @@ class TestCountingKernel:
         self, monkeypatch, x, y
     ):
         # cos(x - hidden) >= 0 has already changed sign at the threshold word t itself
-        uniform_bits, word = simulation._uniform_bits, []
+        word = []
 
-        def put_word(raw):
-            bits = uniform_bits(raw)
-            if bits.shape[1] == 1:
-                bits[0] = word[0]  # the one trial's hidden-angle word
-            return bits
+        def put_word(words):
+            if words.shape[1] == 1:
+                words[0] = word[0]  # the one trial's hidden-angle word
 
-        monkeypatch.setattr(simulation, "_uniform_bits", put_word)
+        edit_words(monkeypatch, put_word)
         monkeypatch.setattr(simulation, "_WORKERS", 1)
         sides = simulation._sign_flips(x), simulation._sign_flips(y)
         key = simulation._philox_key(1)
         # threshold 0 has no word below it: the cosine-sign property covers it
         for t in [t for t in sides[0] + sides[1] if t > 0]:
             agree = []
-            for k in (t - 1, t):
-                word[:] = [k]
+            # the last raw word below the shifted threshold, and the first on it
+            for k, low in ((t - 1, 0x7FF), (t, 0)):
+                word[:] = [k << 11 | low]
                 cos_x, cos_y = (np.cos(v - k * 2.0**-53 * (2.0 * math.pi)) >= 0.0 for v in (x, y))
                 agree.append(simulation._sign_agreements(*sides, 1, key))
                 assert agree[-1] == int(cos_x == cos_y)
@@ -681,6 +715,19 @@ class TestCountingKernel:
         for n, q in itertools.product((1, 2, 5, 1_003), (0.5, 0.3, 1.0)):
             marginal = BinaryDistribution.from_p_plus(q)
             assert simulate_chsh(*angles, marginal, n, 77) == reference_chsh(angles, q, n, 77)
+
+
+@given(t=st.integers(0, 2**53))
+@example(t=0)
+@example(t=1)
+@example(t=2**52)
+@example(t=2**53 - 1)
+@example(t=2**53)
+def test_a_raw_word_passes_the_shifted_threshold_exactly_when_its_grid_word_does(t):
+    # the kernel compares uint64 words with the Python int t << 11, which is 2**64 at t = 2**53
+    raws = [min(max(raw, 0), 2**64 - 1) for raw in ((t << 11) - 1, t << 11, (t << 11) | 0x7FF)]
+    passed = np.array(raws, dtype=np.uint64) >= t << 11
+    assert passed.tolist() == [(raw >> 11) >= t for raw in raws]
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,9 +6,11 @@ Two kinds of mutant are made from the named source files:
     compare    one comparison operator is swapped (< and <=, > and >=,
                == and !=, is and is not, in and not in)
 
-Each mutant is written into a temporary copy of the repository, where the
-named test files run with ``pytest -x`` under a 300 s timeout, in a session of
-their own whose every process is killed when the run ends. One JSON line
+The named test files first run once unmutated, which must pass, and are
+timed. Each mutant is then written into a temporary copy of the repository,
+where the same files run with ``pytest -x`` under a timeout of five times the
+unmutated run, and at least 60 s, in a session of their own whose every
+process is killed when the run ends. One JSON line
 per mutant goes to stdout: its file, line, kind, the code it changed, and
 whether it was killed (a test failed, or the test process ended before its
 session did), survived (every test passed), equivalent (it survived, and
@@ -49,7 +51,10 @@ SPELLING = {
 _PAIRS = [(ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq), (ast.Is, ast.IsNot),
           (ast.In, ast.NotIn)]
 SWAPS = {a: b for pair in _PAIRS for a, b in (pair, pair[::-1])}
-TIMEOUT = 300.0  # seconds per test run
+TIMEOUT = 300.0  # seconds for the unmutated run
+# A mutant's run may take this many times the unmutated run, and at least the
+# floor: a survivor runs every test once, a hang runs until the limit.
+TIMEOUT_FACTOR, TIMEOUT_FLOOR = 5.0, 60.0
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.pyc")
 EQUIVALENTS = ROOT / "tools" / "equivalent_mutants.json"
 
@@ -131,7 +136,12 @@ def classify(status: str, name: str, lines: list[str], mutant: Mutant, equivalen
     return "equivalent" if status == "survived" and key in equivalents else status
 
 
-def _run_tests(copy: Path, tests: list[str]) -> tuple[str, float]:
+def mutant_timeout(seconds: float) -> float:
+    """The limit on a mutant's test run, given the unmutated run's ``seconds``."""
+    return max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * seconds)
+
+
+def _run_tests(copy: Path, tests: list[str], timeout: float) -> tuple[str, float]:
     # A run passes only if pytest also finished its session, which writes the
     # report: a mutant can end the test process early with status 0 (an
     # os._exit meant for a forked child, say).
@@ -145,7 +155,7 @@ def _run_tests(copy: Path, tests: list[str]) -> tuple[str, float]:
     with subprocess.Popen(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, start_new_session=True) as run:
         try:
-            returncode = run.wait(timeout=TIMEOUT)
+            returncode = run.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             returncode = None
         finally:
@@ -166,10 +176,11 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
         copy = Path(scratch) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
-        status, seconds = _run_tests(copy, args.tests)
+        status, seconds = _run_tests(copy, args.tests, TIMEOUT)
         if status != "survived":
             print(f"the unmutated tests did not pass ({status}, {seconds:.1f} s)", file=sys.stderr)
             return 2
+        limit = mutant_timeout(seconds)
         for name in args.files:
             target = copy / name
             original = target.read_bytes()
@@ -184,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
                     except SyntaxError:
                         continue
                     target.write_bytes(mutated)
-                    status, seconds = _run_tests(copy, args.tests)
+                    status, seconds = _run_tests(copy, args.tests, limit)
                     status = classify(status, Path(name).as_posix(), lines, mutant, equivalents)
                     tally[status] += 1
                     record = {"file": name, "line": mutant.line, "kind": mutant.kind,
