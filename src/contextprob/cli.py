@@ -19,8 +19,9 @@ mode a seeded command echoes its seed on stderr, so stdout stays pure CSV.
 
 Exit codes: 0 on success, 1 when a verified property fails, 2 on invalid
 usage or input validation errors, including an ``--out`` or ``--trace`` path
-that cannot be opened, the two naming one file, and output (stdout or either
-file) that cannot be written, a closed stdout included. Output files are
+that cannot be opened, the two naming one file, output (stdout or either
+file) that cannot be written, a closed stdout included, and a ``--trace``
+without an importable orjson, which writes its times. Output files are
 opened before any computation, as a shell redirection would open them.
 """
 
@@ -296,6 +297,12 @@ def _cmd_simulate(args: argparse.Namespace) -> _Output:
         seed=seed,
         time_distribution=TimeDistribution(args.time_dist),
     )
+    if args.trace:  # the trace's time writer, found before any trial runs
+        try:
+            import orjson  # noqa: F401
+        except ImportError as exc:
+            raise ContextualProbabilityError(f"--trace needs orjson, which cannot be imported: "
+                                             f"{exc}")
     report = run_simulation(config, trial_log=args.trace)
     analytic = conditional_probabilities(config.angles.delta)
     analytic_corr = setting_correlation(config.angles.delta, config.marginal_c)

@@ -57,7 +57,7 @@ from .eprbohm import CHSH_TERMS, AnglePair, conditional_probabilities
 from .errors import PreconditionViolation, require_count, require_seed
 
 _BLOCK = 1 << 16  # trials per pass of the counting loop, over all threads
-_TRACE_BLOCK = 1 << 12  # trials per pass of a traced run, whose time texts are held at once
+_TRACE_BLOCK = 1 << 10  # trials per pass of a traced run, whose text is written at once
 # counting threads, at most the usable cores (all cores where affinity is unknown)
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
@@ -263,8 +263,10 @@ def _event_times(words: np.ndarray, mode: TimeDistribution) -> tuple[np.ndarray,
     return t_sel, t_meas
 
 
-# a trace line's gamma and beta, indexed by the trial's cell 2 * beta_minus + gamma_minus
-_TAILS = tuple(f'"gamma": {g}, "beta": {b}}}\n' for b in (1, -1) for g in (1, -1))
+# a trace line is _HEAD, its selection time, _MIDDLE, its measurement time and
+# the tail of its gamma and beta, indexed by its cell 2 * beta_minus + gamma_minus
+_HEAD, _MIDDLE = '{"t_selection": ', ', "t_measurement": '
+_TAILS = tuple(f', "gamma": {g}, "beta": {b}}}\n' for b in (1, -1) for g in (1, -1))
 
 
 def _time_texts(words: np.ndarray) -> list[str]:
@@ -286,11 +288,13 @@ def _write_trial_lines(stream: IO[str], t_sel: np.ndarray, t_meas: np.ndarray,
                        cells: np.ndarray) -> None:
     # One JSON object per line with keys t_selection, t_measurement, gamma,
     # beta in that order, the bytes json.dumps gives: it writes a float as its
-    # repr. Lines are streamed; only a block's time texts are held at once.
-    stream.writelines(
-        f'{{"t_selection": {a}, "t_measurement": {b}, {_TAILS[c]}'
-        for a, b, c in zip(_time_texts(t_sel), _time_texts(t_meas), cells.tolist())
-    )
+    # repr. The block's lines are joined from their five parts and written at
+    # once; only one block's text is held at a time.
+    parts = [_HEAD, "", _MIDDLE, "", ""] * len(cells)
+    parts[1::5] = _time_texts(t_sel)
+    parts[3::5] = _time_texts(t_meas)
+    parts[4::5] = map(_TAILS.__getitem__, cells.tolist())
+    stream.write("".join(parts))
 
 
 def _simulate_counts(

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -563,6 +564,25 @@ class TestWriteFailures:
         child = run_python("-c", launch, str(tmp_path), *SIMULATE_BLOCKS, "--trace", str(trace))
         assert (child.returncode, child.stderr) == (0, "")
         assert trace.read_text().count("\n") == 3 * simulation._TRACE_BLOCK + 1
+
+    def test_a_trace_without_orjson_exits_two_with_one_line(self, tmp_path):
+        # a stub that fails to import shadows orjson, in the child alone
+        (tmp_path / "orjson.py").write_text(
+            "raise ModuleNotFoundError(\"No module named 'orjson'\", name='orjson')\n")
+        src = Path(simulation.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
+
+        def child(*argv):
+            return subprocess.run([sys.executable, "-B", "-m", "contextprob.cli", *argv],
+                                  env=env, capture_output=True, text=True, timeout=60)
+
+        trace = tmp_path / "trace"
+        traced = child(*SIMULATE_SMALL, "--trace", str(trace))
+        assert (traced.returncode, traced.stdout, trace.read_text()) == (2, "", "")
+        assert traced.stderr.startswith("error: --trace needs orjson")
+        assert traced.stderr.count("\n") == 1
+        # without --trace the stub is never imported
+        assert child(*SIMULATE_SMALL).returncode == 0
 
     def test_closed_stdout_exits_two(self, capsys, monkeypatch):
         # an interpreter started with fd 1 closed has sys.stdout set to None

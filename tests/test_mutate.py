@@ -4,6 +4,8 @@ import ast
 import importlib.util
 import json
 import os
+import signal
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -114,3 +116,22 @@ def test_a_process_a_test_run_forks_ends_with_the_run(tmp_path):
     while alive():
         assert time.monotonic() < deadline
         time.sleep(0.05)
+
+
+def test_an_audit_ended_by_sigterm_removes_its_temporary_copy(tmp_path):
+    # the copy is made after the handler is in place, so any moment after it appears will do
+    command = [sys.executable, "-B", str(mutate.ROOT / "tools" / "mutate.py"),
+               "src/contextprob/errors.py", "--tests", "tests/test_api.py"]
+    audit = subprocess.Popen(command, env=dict(os.environ, TMPDIR=str(tmp_path)),
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30.0
+        while not list(tmp_path.glob("mutate-*")):
+            assert audit.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        audit.send_signal(signal.SIGTERM)
+        assert audit.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        audit.kill()
+        audit.wait()
+    assert list(tmp_path.glob("mutate-*")) == []

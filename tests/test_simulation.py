@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,23 @@ class TestRunSimulation:
         monkeypatch.setattr(simulation, "_TRACE_BLOCK", 56)
         run_simulation(config(n=500, seed=6), trial_log=b2)
         assert b1.getvalue() == b2.getvalue()
+
+    def test_trace_memory_does_not_grow_with_the_trial_count(self):
+        # only one block's text is held at a time, whatever the number of blocks
+        class Discard:
+            def write(self, text):
+                pass
+
+        def peak(blocks):
+            tracemalloc.start()
+            try:
+                run_simulation(config(n=blocks * simulation._TRACE_BLOCK), trial_log=Discard())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_simulation(config(n=1), trial_log=Discard())  # imports orjson before measuring
+        assert peak(32) <= peak(4) + (1 << 14)
 
     def test_fixed_order_logs_unit_interval_endpoints(self):
         buffer = io.StringIO()
@@ -376,11 +394,22 @@ def reference_counts(gamma, beta):
                      for b in (1, -1)])
 
 
-def reference_run(cfg):
-    """(counts, trial-log text) from one Generator.random(4 n) array."""
+def reference_run(cfg, edit=None):
+    """(counts, trial-log text) from one Generator.random(4 n) array.
+
+    ``edit(k, words)``, if given, first edits in place the raw words of the
+    ``k``-th block of ``_TRACE_BLOCK`` trials; the doubles are then the ones
+    Generator.random makes of the edited words, ``(word >> 11) * 2**-53``.
+    """
     n = cfg.n_pairs
     key = simulation._philox_key(cfg.seed)
-    u = np.random.Generator(np.random.Philox(key=key)).random(4 * n).reshape(n, 4)
+    if edit is None:
+        u = np.random.Generator(np.random.Philox(key=key)).random(4 * n).reshape(n, 4)
+    else:
+        words = np.random.Philox(key=key).random_raw(4 * n).reshape(n, 4)
+        for k, lo in enumerate(range(0, n, simulation._TRACE_BLOCK)):
+            edit(k, words[lo:lo + simulation._TRACE_BLOCK])
+        u = (words >> np.uint64(11)) * 2.0**-53
     gamma, beta = reference_signs(u, conditional_probabilities(cfg.angles.delta),
                                   cfg.marginal_c.p_plus)
     counts = reference_counts(gamma, beta)
@@ -448,6 +477,12 @@ def tie(first, second):
 EDGE_WORDS = [0, 0x7FF, 1 << 11, (1 << 11) | 0x7FF, (1 << 63) - 1, 1 << 63, (1 << 63) | 0x7FF,
               ((2**53 - 1) << 11) - 1, (2**53 - 1) << 11, 2**64 - 1]
 EDGE_P = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]
+# the (gamma, beta) words of each cell 2 * beta_minus + gamma_minus, for
+# probabilities inside (0, 1)
+CELL_WORDS = [(0, 0), (2**64 - 1, 0), (0, 2**64 - 1), (2**64 - 1, 2**64 - 1)]
+# raw time words whose times print with the repr patch: 2**-53, 5 * 2**-53 and
+# the last time below 1e-4
+SMALL_TIME_WORDS = [1 << 11, 5 << 11, int(1e-4 * 2**53) << 11]
 
 MAX_FLOAT = 1.7976931348623157e308
 SETTINGS_OF_EVERY_MAGNITUDE = [
@@ -472,6 +507,34 @@ class TestCountingKernel:
         counts, expected_log = reference_run(cfg)
         np.testing.assert_array_equal(report.counts, counts)
         assert log.getvalue() == expected_log
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_trace_blocks_join_at_their_seams(self, monkeypatch, block):
+        # every cell, and times below 1e-4, on a block's first and last line;
+        # the last block holds a single trial
+        def plant(k, words):
+            words[0, 0] = SMALL_TIME_WORDS[1]
+            words[0, 2:] = CELL_WORDS[k % 4]
+            words[-1, :2] = SMALL_TIME_WORDS[2], SMALL_TIME_WORDS[0]
+            words[-1, 2:] = CELL_WORDS[(k + 2) % 4]
+
+        blocks = itertools.count()  # a traced run reads its blocks in order
+
+        def plant_traced(words):
+            if words.shape[1] == 4:
+                plant(next(blocks), words)
+
+        monkeypatch.setattr(simulation, "_TRACE_BLOCK", block)
+        edit_words(monkeypatch, plant_traced)
+        cfg, log = config(n=4 * block + 1, seed=12), io.StringIO()
+        report = run_simulation(cfg, trial_log=log)
+        counts, expected_log = reference_run(cfg, plant)
+        np.testing.assert_array_equal(report.counts, counts)
+        assert log.getvalue() == expected_log
+        lines = expected_log.splitlines()
+        assert all("e-16, " in lines[lo] for lo in range(0, len(lines), block))
+        assert lines[-1].startswith('{"t_selection": 1.1102230246251565e-16, '
+                                    '"t_measurement": 9.99999999999')
 
     def test_integer_threshold_is_generator_random_below_p(self):
         # p = k * 2**-53 for k drawn in this very stream puts p exactly on a

@@ -15,7 +15,8 @@ per mutant goes to stdout: its file, line, kind, the code it changed, and
 whether it was killed (a test failed, or the test process ended before its
 session did), survived (every test passed), equivalent (it survived, and
 ``tools/equivalent_mutants.json`` argues that no input can tell it from the
-code) or timed out. A summary per file goes to stderr at the end.
+code) or timed out. A summary per file goes to stderr at the end. An audit
+ended by SIGTERM removes its temporary copy, as it does on any exit.
 
 The score is a trajectory, not a gate: a surviving mutant marks either a
 missing test or code that nothing needs. Standard library only; the tests
@@ -167,11 +168,17 @@ def _run_tests(copy: Path, tests: list[str], timeout: float) -> tuple[str, float
     return ("survived" if returncode == 0 and report.exists() else "killed"), seconds
 
 
+def _exit(signum, frame):
+    # SIGTERM ends the audit as an exception would, so the temporary copy is removed
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("files", nargs="+", help="source files to mutate, relative to the root")
     parser.add_argument("--tests", nargs="+", required=True, help="test files to run per mutant")
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, _exit)
     scores, equivalents = {}, load_equivalents()
     with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
         copy = Path(scratch) / "repo"
