@@ -297,12 +297,6 @@ def _cmd_simulate(args: argparse.Namespace) -> _Output:
         seed=seed,
         time_distribution=TimeDistribution(args.time_dist),
     )
-    if args.trace:  # the trace's time writer, found before any trial runs
-        try:
-            import orjson  # noqa: F401
-        except ImportError as exc:
-            raise ContextualProbabilityError(f"--trace needs orjson, which cannot be imported: "
-                                             f"{exc}")
     report = run_simulation(config, trial_log=args.trace)
     analytic = conditional_probabilities(config.angles.delta)
     analytic_corr = setting_correlation(config.angles.delta, config.marginal_c)

@@ -316,18 +316,13 @@ def interference_values(p_plus, t_plus, p_minus, t_minus, theta) -> np.ndarray:
         )
     classical = _two_path(p_plus, t_plus, p_minus, t_minus)
     value = classical + 2.0 * np.cos(theta) * _root_product(p_plus, t_plus, p_minus, t_minus)
-    below = value < -BOUNDARY_GUARD
-    if np.any(below):
-        raise OutOfRangeProbability(
-            f"interference value {_first(value, below)!r} falls below 0; "
-            "the prior, transition, and phase are mutually inconsistent"
-        )
-    above = value > 1.0 + BOUNDARY_GUARD
-    if np.any(above):
-        raise OutOfRangeProbability(
-            f"interference value {_first(value, above)!r} exceeds 1; "
-            "the prior, transition, and phase are mutually inconsistent"
-        )
+    for outside, side in ((value < -BOUNDARY_GUARD, "falls below 0"),
+                          (value > 1.0 + BOUNDARY_GUARD, "exceeds 1")):
+        if np.any(outside):
+            raise OutOfRangeProbability(
+                f"interference value {_first(value, outside)!r} {side}; "
+                "the prior, transition, and phase are mutually inconsistent"
+            )
     # a -0.0 inside the interval keeps its sign
     return np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value))
 

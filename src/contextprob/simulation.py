@@ -54,7 +54,7 @@ import numpy as np
 
 from .core import BinaryDistribution
 from .eprbohm import CHSH_TERMS, AnglePair, conditional_probabilities
-from .errors import PreconditionViolation, require_count, require_seed
+from .errors import ContextualProbabilityError, PreconditionViolation, require_count, require_seed
 
 _BLOCK = 1 << 16  # trials per pass of the counting loop, over all threads
 _TRACE_BLOCK = 1 << 10  # trials per pass of a traced run, whose text is written at once
@@ -274,7 +274,10 @@ def _time_texts(words: np.ndarray) -> list[str]:
     # but keeps positional form below 1e-4, where repr turns to an exponent
     # (0.00001 against 1e-05); 1e-4 is no time word, so the cut is exact. Both
     # write 0.0, every fixed-order selection time, as "0.0".
-    import orjson  # here, not at module top: only a trace needs it
+    try:
+        import orjson  # here, not at module top: only a trace needs it
+    except ImportError as exc:
+        raise ContextualProbabilityError(f"--trace needs orjson, which cannot be imported: {exc}")
 
     times = words * _UNIT
     texts = orjson.dumps(times, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
@@ -344,7 +347,8 @@ def run_simulation(config: SimConfig, *, trial_log: IO[str] | None = None) -> Si
     trial_log:
         Optional text stream receiving one JSON object per trial
         (``t_selection``, ``t_measurement``, ``gamma``, ``beta``), in trial
-        order.
+        order. Without an importable orjson, which writes the times, a
+        ``ContextualProbabilityError`` is raised before any line is written.
 
     Returns
     -------

@@ -55,6 +55,11 @@ class TestBinaryDistribution:
     def test_uniform(self):
         assert BinaryDistribution.uniform().p_plus == 0.5
 
+    def test_weights_are_stored_as_floats(self):
+        # as the JSON writer then writes them: 1.0, not 1
+        dist = BinaryDistribution(1, 0)
+        assert (type(dist.p_plus), type(dist.p_minus)) == (float, float)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidDistribution, match="normalization"):
             BinaryDistribution(0.6, 0.6)
@@ -64,8 +69,9 @@ class TestBinaryDistribution:
             BinaryDistribution(-0.1, 1.1)
 
     def test_rejects_p_plus_outside_unit_interval(self):
-        with pytest.raises(InvalidDistribution):
-            BinaryDistribution.from_p_plus(1.5)
+        for p_plus in (1.5, -0.5, math.nan):
+            with pytest.raises(InvalidDistribution, match=r"^p_plus must lie in \[0, 1\], got "):
+                BinaryDistribution.from_p_plus(p_plus)
 
     @pytest.mark.parametrize("weights", [(math.inf, 0.0), (0.5, math.nan), (-math.inf, 1.0)])
     def test_rejects_non_finite_weight(self, weights):
@@ -74,6 +80,9 @@ class TestBinaryDistribution:
 
     def test_degenerate_endpoints_allowed(self):
         assert BinaryDistribution(1.0, 0.0).prob(MINUS) == 0.0
+        assert BinaryDistribution(0.0, 1.0).prob(PLUS) == 0.0
+        assert BinaryDistribution.from_p_plus(0.0).p_minus == 1.0
+        assert BinaryDistribution.from_p_plus(1.0).p_minus == 0.0
 
     def test_bad_outcome_rejected(self):
         with pytest.raises(PreconditionViolation):
@@ -320,6 +329,13 @@ class TestInterferenceProbability:
             interference_values(1.0, math.nextafter(top, 2.0), 0.0, 0.0, 0.0)
         with pytest.raises(OutOfRangeProbability, match="below 0"):
             interference_values(1.0, math.nextafter(bottom, -1.0), 0.0, 0.0, 0.0)
+
+    def test_a_stack_out_on_both_sides_names_its_first_value_below_0(self):
+        # the below-0 check runs first, whatever the order of the offenders
+        stack = np.array([0.5, 2.0, -0.25, 3.0, -0.75])
+        with pytest.raises(OutOfRangeProbability,
+                           match=r"^interference value -0\.25 falls below 0; "):
+            interference_values(1.0, stack, 0.0, 0.0, 0.0)
 
     def test_a_negative_zero_inside_the_interval_keeps_its_sign(self):
         # zero path weights at theta = pi leave -0.0 + -0.0: inside [0, 1],

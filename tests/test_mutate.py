@@ -65,6 +65,11 @@ def test_a_survivor_on_the_equivalents_list_is_reported_as_equivalent():
     assert mutate.classify("survived", "other.py", lines, found[1], listed) == "survived"
 
 
+def test_the_repository_copy_leaves_out_benchmark_results():
+    ignored = mutate.IGNORED(str(mutate.ROOT), [".perfbench", ".benchmarks", "src"])
+    assert ignored == {".perfbench", ".benchmarks"}
+
+
 def test_every_listed_equivalent_is_a_mutant_of_the_source_it_names():
     # an entry left behind by an edit to its line would match nothing
     entries = json.loads(mutate.EQUIVALENTS.read_text())

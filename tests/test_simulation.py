@@ -208,6 +208,28 @@ class TestRunSimulation:
             rec = json.loads(line)
             assert rec["t_selection"] == 0.0 and rec["t_measurement"] == 1.0
 
+    def test_a_trace_without_orjson_raises_the_typed_error_and_writes_nothing(
+            self, run_python, tmp_path):
+        # a stub that fails to import shadows orjson, in the child alone
+        (tmp_path / "orjson.py").write_text(
+            "raise ModuleNotFoundError(\"No module named 'orjson'\", name='orjson')\n")
+        script = (
+            "import io, sys; sys.path.insert(0, sys.argv[1]); import contextprob as c\n"
+            "config = c.SimConfig(c.AnglePair(1.0, 0.5), c.BinaryDistribution.uniform(), 3000,"
+            " 7, c.TimeDistribution.UNIFORM_SQUARE)\n"
+            "sink = io.StringIO()\n"
+            "try:\n"
+            "    c.run_simulation(config, trial_log=sink)\n"
+            "except c.ContextualProbabilityError as exc:\n"
+            "    assert str(exc).startswith('--trace needs orjson'), exc\n"
+            "else:\n"
+            "    raise AssertionError('no error')\n"
+            "assert sink.getvalue() == ''\n"
+            "assert c.run_simulation(config).counts.sum() == 3000\n"  # untraced, the stub unread
+        )
+        child = run_python("-c", script, str(tmp_path))
+        assert child.returncode == 0, child.stderr
+
 
 class TestSimReport:
     # a report is built from its counts alone; the estimates follow from them

@@ -56,7 +56,9 @@ TIMEOUT = 300.0  # seconds for the unmutated run
 # A mutant's run may take this many times the unmutated run, and at least the
 # floor: a survivor runs every test once, a hang runs until the limit.
 TIMEOUT_FACTOR, TIMEOUT_FLOOR = 5.0, 60.0
-IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.pyc")
+# caches and benchmark results (.perfbench holds tens of MB) stay out of the copy
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.pyc",
+                                 ".perfbench", ".benchmarks")
 EQUIVALENTS = ROOT / "tools" / "equivalent_mutants.json"
 
 
