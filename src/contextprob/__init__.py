@@ -7,96 +7,41 @@ spin-pair conditionals rebuilt through that interference form
 selection/measurement protocol with four-setting correlation scans
 (:mod:`contextprob.simulation`). The ``contextprob`` command exposes all of
 it from the shell.
+
+Each public name, and each module, is imported on first use (PEP 562), so
+``import contextprob`` loads no layer and a subcommand only the ones it runs.
 """
 
-from .core import (
-    BOUNDARY_GUARD,
-    MINUS,
-    NORMALIZATION_TOL,
-    PLUS,
-    BinaryDistribution,
-    InterferenceCoefficient,
-    Regime,
-    TransitionMatrix,
-    classical_total_probability,
-    incompatibility_coefficient,
-    interference_probability,
-)
-from .eprbohm import (
-    DEFAULT_SIGNS,
-    AnglePair,
-    SignConvention,
-    chsh,
-    conditional_probabilities,
-    epr_bohm_probabilities,
-    matrices_from_angles,
-    reconstruct_via_interference,
-    setting_correlation,
-    verify_phase_opposition,
-    verify_selection_phase_flip,
-)
-from .errors import (
-    ContextualProbabilityError,
-    InvalidCount,
-    InvalidDistribution,
-    InvalidMatrix,
-    OutOfRangeProbability,
-    PreconditionViolation,
-)
-from .simulation import (
-    LhvStrategy,
-    SimConfig,
-    SimReport,
-    TimeDistribution,
-    TimeOrderStats,
-    lhv_baseline_chsh,
-    run_simulation,
-    simulate_chsh,
-    time_order_statistics,
-)
-from .verification import PropertyCheck, run_property_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUNDARY_GUARD",
-    "MINUS",
-    "NORMALIZATION_TOL",
-    "PLUS",
-    "AnglePair",
-    "BinaryDistribution",
-    "ContextualProbabilityError",
-    "DEFAULT_SIGNS",
-    "InterferenceCoefficient",
-    "InvalidCount",
-    "InvalidDistribution",
-    "InvalidMatrix",
-    "LhvStrategy",
-    "OutOfRangeProbability",
-    "PreconditionViolation",
-    "PropertyCheck",
-    "Regime",
-    "SignConvention",
-    "SimConfig",
-    "SimReport",
-    "TimeDistribution",
-    "TimeOrderStats",
-    "TransitionMatrix",
-    "chsh",
-    "classical_total_probability",
-    "conditional_probabilities",
-    "epr_bohm_probabilities",
-    "incompatibility_coefficient",
-    "interference_probability",
-    "lhv_baseline_chsh",
-    "matrices_from_angles",
-    "reconstruct_via_interference",
-    "run_property_suite",
-    "run_simulation",
-    "setting_correlation",
-    "simulate_chsh",
-    "time_order_statistics",
-    "verify_phase_opposition",
-    "verify_selection_phase_flip",
-    "__version__",
-]
+# each public name and the module that defines it
+_HOMES = {name: module for module, names in (
+    ("core", "BOUNDARY_GUARD MINUS NORMALIZATION_TOL PLUS BinaryDistribution "
+             "InterferenceCoefficient Regime TransitionMatrix classical_total_probability "
+             "incompatibility_coefficient interference_probability"),
+    ("eprbohm", "DEFAULT_SIGNS AnglePair LhvStrategy SignConvention TimeDistribution chsh "
+                "conditional_probabilities epr_bohm_probabilities matrices_from_angles "
+                "reconstruct_via_interference setting_correlation verify_phase_opposition "
+                "verify_selection_phase_flip"),
+    ("errors", "ContextualProbabilityError InvalidCount InvalidDistribution InvalidMatrix "
+               "OutOfRangeProbability PreconditionViolation"),
+    ("simulation", "SimConfig SimReport TimeOrderStats lhv_baseline_chsh run_simulation "
+                   "simulate_chsh time_order_statistics"),
+    ("verification", "PropertyCheck run_property_suite"),
+) for name in names.split()}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _HOMES.get(name, name)
+    if module not in _HOMES.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    return value if module == name else getattr(value, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -28,7 +28,6 @@ opened before any computation, as a shell redirection would open them.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -50,6 +49,8 @@ from .core import (
 from .eprbohm import (
     DEFAULT_SIGNS,
     AnglePair,
+    LhvStrategy,
+    TimeDistribution,
     chsh,
     conditional_probabilities,
     epr_bohm_probabilities,
@@ -57,19 +58,27 @@ from .eprbohm import (
     setting_correlation,
 )
 from .errors import ContextualProbabilityError
-from .simulation import (
-    LhvStrategy,
-    SimConfig,
-    TimeDistribution,
-    lhv_baseline_chsh,
-    run_simulation,
-    simulate_chsh,
-)
-from .verification import run_property_suite
 
 OPTIMAL_SETTINGS = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 
 _SIGN_VALUES = {"+": 1, "+1": 1, "-": -1, "-1": -1}
+
+# The names taken from the layers only some subcommands run, which are imported
+# when a handler first looks one up. The binding made here is the one called, so
+# a test or perfbench/tracing.py can patch it as ``contextprob.cli.run_simulation``.
+_LATE = ("SimConfig", "lhv_baseline_chsh", "run_property_suite", "run_simulation", "simulate_chsh")
+
+
+def __getattr__(name: str):
+    if name not in _LATE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(sys.modules[__package__], name)
+    return value
+
+
+def _late(name: str):
+    # this module's binding of a _LATE name, made on first use
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 # ---------------------------------------------------------------- argument types
@@ -151,6 +160,8 @@ def _json_text(command: str, inputs: dict, results: dict, seed: int | None) -> s
 
 def _csv_text(rows: list[list]) -> str:
     # csv.writer writes None as an empty cell and a float as its repr
+    import csv  # here, not at module top: only CSV output needs it
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
@@ -267,7 +278,7 @@ def _cmd_epr(args: argparse.Namespace) -> _Output:
 
 def _cmd_verify(args: argparse.Namespace) -> _Output:
     seed = _resolve_seed(args.seed)
-    checks = run_property_suite(args.samples, seed, break_phase_flip=args.break_phase_flip)
+    checks = _late("run_property_suite")(args.samples, seed, break_phase_flip=args.break_phase_flip)
     all_passed = all(check.passed for check in checks)
 
     inputs = {"samples": args.samples, "break_phase_flip": args.break_phase_flip}
@@ -290,14 +301,14 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
 
 def _cmd_simulate(args: argparse.Namespace) -> _Output:
     seed = _resolve_seed(args.seed)
-    config = SimConfig(
+    config = _late("SimConfig")(
         angles=AnglePair(_to_radians(args.xi, args.unit), _to_radians(args.eta, args.unit)),
         marginal_c=BinaryDistribution.from_p_plus(args.marginal),
         n_pairs=args.n,
         seed=seed,
         time_distribution=TimeDistribution(args.time_dist),
     )
-    report = run_simulation(config, trial_log=args.trace)
+    report = _late("run_simulation")(config, trial_log=args.trace)
     analytic = conditional_probabilities(config.angles.delta)
     analytic_corr = setting_correlation(config.angles.delta, config.marginal_c)
 
@@ -339,12 +350,12 @@ def _cmd_chsh(args: argparse.Namespace) -> _Output:
         a, a_prime, b, b_prime = (_to_radians(v, args.unit) for v in args.settings)
     seed = _resolve_seed(args.seed)
     marginal = BinaryDistribution.from_p_plus(args.marginal)
-    s_estimate = simulate_chsh(a, a_prime, b, b_prime, marginal, args.n, seed)
+    s_estimate = _late("simulate_chsh")(a, a_prime, b, b_prime, marginal, args.n, seed)
     s_analytic = chsh(a, a_prime, b, b_prime, marginal)
     baseline = None
     if args.baseline:
         strategy = LhvStrategy(args.baseline)
-        baseline_s = lhv_baseline_chsh(a, a_prime, b, b_prime, strategy, args.n, seed)
+        baseline_s = _late("lhv_baseline_chsh")(a, a_prime, b, b_prime, strategy, args.n, seed)
         baseline = {
             "strategy": strategy.value,
             "s_estimate": baseline_s,

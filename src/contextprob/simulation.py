@@ -16,6 +16,9 @@ Trial ``i`` owns the four 64-bit words at counter ``i`` (one Philox block):
     word 2: uniform deciding gamma
     word 3: uniform deciding beta
 
+"Philox block ``i``" means the first four words of ``numpy.random.Philox`` at
+``counter=i``. numpy increments the counter before it generates, so they are
+the Philox4x64-10 block of counter ``i + 1`` in the Random123 specification.
 Because block ``i`` is addressable directly, the trial range can be cut at
 any trial boundary without changing a single outcome. Counting and the gap
 statistics run on up to two threads, one per contiguous trial range, whose
@@ -47,13 +50,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import IO
 
 import numpy as np
 
 from .core import BinaryDistribution
-from .eprbohm import CHSH_TERMS, AnglePair, conditional_probabilities
+from .eprbohm import CHSH_TERMS, AnglePair, LhvStrategy, TimeDistribution, conditional_probabilities
 from .errors import ContextualProbabilityError, PreconditionViolation, require_count, require_seed
 
 _BLOCK = 1 << 16  # trials per pass of the counting loop, over all threads
@@ -65,20 +67,6 @@ _LOW_BITS = 11  # Generator.random() is (word >> _LOW_BITS) * _UNIT
 _UNIT = 2.0**-53
 _REDRAW_COUNTER_BASE = 1 << 64
 _LIMBS = np.array([[0], [18], [36]], dtype=np.uint64)  # shifts of a gap word's limbs
-
-
-class TimeDistribution(Enum):
-    """How the two per-trial event times are produced."""
-
-    UNIFORM_SQUARE = "uniform-square"  # (t1, t2) uniform on the unit square, ordered
-    FIXED_ORDER = "fixed-order"  # selection at 0, measurement at 1
-
-
-class LhvStrategy(Enum):
-    """Local hidden-variable baselines for the four-setting scan."""
-
-    DETERMINISTIC_SIGN = "deterministic-sign"
-    RANDOM_LOCAL = "random-local"
 
 
 @dataclass(frozen=True)
@@ -403,6 +391,9 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
 
 
 _FLIP_CELLS = 4096  # cells per pass of the search for sign flips
+# passes of that search from 2**53 words down to single words: ceil(53 / 12) = 5
+# for 2**12 cells, more between powers of two, where a pass at width 1 changes nothing
+_FLIP_LEVELS = -(-53 // (_FLIP_CELLS.bit_length() - 1))
 
 
 def _correlation(agree: int, n: int) -> float:
@@ -461,12 +452,13 @@ def _sign_flips(x: float) -> list[int]:
     ``_FLIP_CELLS`` equal cells of the words spans ``2 pi / _FLIP_CELLS`` of
     angle plus rounding, far below the ``pi`` between zeros, or rounds to at most
     two arguments: it holds at most one flip. A cell whose ends differ is cut
-    again, down to single words. The grid end ``2**53`` is no word, never passed.
+    again, ``_FLIP_LEVELS`` passes in all, down to single words. The grid end
+    ``2**53`` is no word, never passed.
     """
     flips = [] if np.cos(x) >= 0.0 else [0]
     lo = np.zeros(1, dtype=np.uint64)  # left ends of the cells holding a flip
     width = 1 << 53
-    while width > 1:
+    for _ in range(_FLIP_LEVELS):
         step = max(width // _FLIP_CELLS, 1)
         words = lo[:, None] + np.uint64(step) * np.arange(width // step + 1, dtype=np.uint64)
         # the hidden angle of a float model, Generator.random() * 2 pi

@@ -1,7 +1,10 @@
 """The package's public name list stays in step with what it defines."""
 
 import ast
+import json
 from pathlib import Path
+
+import pytest
 
 import contextprob
 
@@ -19,6 +22,54 @@ def test_all_has_no_duplicates():
 def test_every_name_in_all_resolves():
     missing = [name for name in contextprob.__all__ if not hasattr(contextprob, name)]
     assert missing == []
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'contextprob' has no attribute 'main'"):
+        contextprob.main
+
+
+# ---------------------------------------------------------------- loading on first use
+
+LAYERS = ("core", "eprbohm", "errors", "simulation", "verification")
+
+
+def child_json(run_python, code: str):
+    """The JSON that ``code`` prints last in a fresh interpreter; ``loaded()`` is available."""
+    prelude = ("import json, sys\n"
+               "def loaded():\n"
+               "    return sorted(m for m in sys.modules if m.startswith('contextprob.'))\n")
+    child = run_python("-c", prelude + code)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_a_bare_import_loads_no_layer(run_python):
+    assert child_json(run_python, "import contextprob\nprint(json.dumps(loaded()))") == []
+
+
+def test_each_name_loads_its_module_on_first_use(run_python):
+    code = f"""
+import contextprob
+from importlib import import_module
+before = loaded()
+simulation = contextprob.simulation
+after = loaded()
+layers = [import_module(f"contextprob.{{name}}") for name in {LAYERS!r}]
+unresolved = [name for name in contextprob.__all__ if name != "__version__" and not any(
+    vars(layer).get(name) is getattr(contextprob, name) for layer in layers)]
+print(json.dumps([before, simulation.__name__, after, unresolved]))
+"""
+    before, name, after, unresolved = child_json(run_python, code)
+    assert (before, name, unresolved) == ([], "contextprob.simulation", [])
+    assert "contextprob.simulation" in after and "contextprob.verification" not in after
+
+
+def test_dir_covers_all_without_loading_a_layer(run_python):
+    code = ("import contextprob\n"
+            "names = dir(contextprob)\n"
+            "print(json.dumps([sorted(set(contextprob.__all__) - set(names)), loaded()]))")
+    assert child_json(run_python, code) == [[], []]
 
 
 # The console script and the parser perfbench probes are called from outside

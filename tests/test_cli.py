@@ -649,6 +649,8 @@ PINNED_CASES.update({
     "chsh-csv-out": [*CHSH, "--format", "csv", "--out", "{tmp}/out"],
     "lambda-csv-out": [*LAMBDA_TRIG, "--format", "csv", "--out", "{tmp}/out"],
     "help": ["--help"],
+    **{f"{command}-help": [command, "--help"]
+       for command in ("lambda", "epr", "verify", "simulate", "chsh")},
     "no-command": [],
     "unknown-command": ["frobnicate"],
     "lambda-bad-number": ["lambda", "--observed", "abc", "--prior", "0.5",
@@ -727,6 +729,52 @@ class TestPinnedOutput:
         expected = dict(pinned[case])
         expected["stderr"] = CHANGED_STDERR.get(case, expected["stderr"])
         assert run_pinned(PINNED_CASES[case], tmp_path) == expected
+
+
+# ---------------------------------------------------------------- start-up
+
+
+def layers_imported(run_python, *argv) -> set[str]:
+    """The layers of the simulation and the sweep that the CLI imports, run as by ``-m``."""
+    code = ("import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('contextprob.cli', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print(*sorted(m for m in sys.modules if m.startswith('contextprob.')))\n")
+    child = run_python("-c", code, *argv)
+    assert child.returncode == 0, child.stderr
+    names = set(child.stdout.splitlines()[-1].split())
+    return names & {"contextprob.simulation", "contextprob.verification"}
+
+
+class TestStartUp:
+    @pytest.mark.parametrize("argv, layers", [
+        (VERIFY, {"contextprob.verification"}),
+        (SIMULATE, {"contextprob.simulation"}),
+        (CHSH, {"contextprob.simulation"}),
+        (LAMBDA_TRIG, set()),
+        (EPR, set()),
+    ], ids=["verify", "simulate", "chsh", "lambda", "epr"])
+    def test_a_subcommand_imports_only_the_layers_it_runs(self, run_python, argv, layers):
+        assert layers_imported(run_python, *argv) == layers
+
+    def test_a_late_name_is_bound_in_the_cli_on_first_use(self, run_python):
+        # where tests and perfbench/tracing.py patch it, and where main calls it
+        code = ("import json, sys; import contextprob.cli as cli, contextprob.simulation as sim\n"
+                "before = sorted(set(cli._LATE) & set(vars(cli)))\n"
+                "cli.main(sys.argv[1:])\n"
+                "after = sorted(set(cli._LATE) & set(vars(cli)))\n"
+                "print(json.dumps([before, after, cli.run_simulation is sim.run_simulation]))")
+        child = run_python("-c", code, *SIMULATE)
+        assert child.returncode == 0, child.stderr
+        before, after, same = json.loads(child.stdout.splitlines()[-1])
+        assert (before, after, same) == ([], ["SimConfig", "run_simulation"], True)
+
+    @pytest.mark.parametrize("name", ["time_order_statistics", "PLUS", "simulation"])
+    def test_only_the_late_names_resolve_on_first_use(self, name):
+        with pytest.raises(AttributeError, match=f"module 'contextprob.cli' has no attribute "
+                                                 f"'{name}'"):
+            getattr(cli, name)
 
 
 # ---------------------------------------------------------------- contract properties

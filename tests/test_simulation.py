@@ -965,6 +965,105 @@ def test_sign_thresholds_equal_the_cosine_sign_next_to_every_flip(x):
     np.testing.assert_array_equal(passed % 2 == 0, cosine)
 
 
+def test_the_flip_search_passes_reach_single_words():
+    width = 1 << 53
+    for _ in range(simulation._FLIP_LEVELS):
+        width = max(width // simulation._FLIP_CELLS, 1)
+    assert width == 1
+    assert simulation._FLIP_LEVELS == 5  # widths 2**53, 2**41, 2**29, 2**17, 2**5
+
+
+def flips_cut_until_single_words(x):
+    # _sign_flips' search with no count of passes: it cuts until the cells are single words
+    lo, width = np.zeros(1, dtype=np.uint64), 1 << 53
+    while width > 1:
+        step = max(width // simulation._FLIP_CELLS, 1)
+        words = lo[:, None] + np.uint64(step) * np.arange(width // step + 1, dtype=np.uint64)
+        signs = np.cos(x - words * 2.0**-53 * (2.0 * math.pi)) >= 0.0
+        rows, cols = np.nonzero(signs[:, 1:] != signs[:, :-1])
+        lo, width = words[rows, cols], step
+    return ([] if np.cos(x) >= 0.0 else [0]) + (lo + np.uint64(1)).tolist()
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 0.3, -1.2, 2.0, math.pi, math.pi / 2.0,
+                               -math.pi / 2.0, 1e9, 1e16, 2.0**53, MAX_FLOAT])
+def test_sign_flips_equal_the_search_cut_until_single_words(x):
+    assert simulation._sign_flips(x) == flips_cut_until_single_words(x)
+
+
+# ---------------------------------------------------------------- Philox oracle
+
+# Philox4x64-10 as specified by Salmon et al., "Parallel random numbers: as easy
+# as 1, 2, 3" (SC 2011, Random123), written without numpy: a 256-bit counter in
+# four 64-bit limbs, least significant first, and a 128-bit key.
+MASK64 = (1 << 64) - 1
+
+
+def philox4x64_10(counter: int, key) -> list[int]:
+    c, (k0, k1) = [counter >> 64 * i & MASK64 for i in range(4)], map(int, key)
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
+        c = [p1 >> 64 ^ c[1] ^ k0, p1 & MASK64, p0 >> 64 ^ c[3] ^ k1, p0 & MASK64]
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & MASK64, (k1 + 0xBB67AE8584CAA73B) & MASK64
+    return c
+
+
+def stream_word(key, j: int) -> int:
+    # word j of the stream: numpy's counter j // 4 increments before it generates
+    return philox4x64_10((j // 4 + 1) % (1 << 256), key)[j % 4]
+
+
+class TestPhiloxOracle:
+    @pytest.mark.parametrize("counter", [0, 5, 2**64 - 1, 2**64 + 3, 2**256 - 1])
+    def test_numpy_counter_c_is_spec_block_c_plus_1(self, counter):
+        key = simulation._philox_key(5)
+        raw = np.random.Philox(key=key, counter=counter).random_raw(4).tolist()
+        assert raw == [stream_word(key, 4 * counter + i) for i in range(4)]
+
+    @pytest.mark.parametrize("width", [4, 2, 1])
+    @pytest.mark.parametrize("start", [1, 6, 2**62 - 3, 2**64 + 3])
+    def test_word_blocks_read_the_stream_at_width_times_trial(self, width, start):
+        key, stop = simulation._philox_key(11), start + 7
+        rows = [(lo, words.tolist()) for lo, words in
+                simulation._word_blocks(key, start, stop, 3, width=width)]
+        assert [lo for lo, _ in rows] == [start, start + 3, start + 6]
+        words = [row for _, block in rows for row in block]
+        assert words == [[stream_word(key, width * trial + i) for i in range(width)]
+                         for trial in range(start, stop)]
+
+    @pytest.mark.parametrize("lo", [0, 2**63 - 3])
+    def test_a_tied_trial_is_redrawn_from_its_pair_above_2_64(self, lo):
+        key = simulation._philox_key(3)
+        words = np.array([[9 << 11, 9 << 11, 0, 0], [1 << 11, 2 << 11, 0, 0],
+                          [5 << 11, 5 << 11 | 7, 0, 0]], dtype=np.uint64)
+        mode = TimeDistribution.UNIFORM_SQUARE
+        assert simulation._redraw_ties(key, lo, words, mode) == 2
+        # trial lo + row's first pair is words 0 and 1 of numpy counter 2**64 + lo + row
+        for row in (0, 2):
+            pair = [stream_word(key, 4 * (2**64 + lo + row) + i) for i in range(2)]
+            assert pair[0] >> 11 != pair[1] >> 11
+            assert words[row, :2].tolist() == pair
+        assert words[1, :2].tolist() == [1 << 11, 2 << 11]
+
+    def test_seed_sequence_states_are_pinned(self):
+        # the Philox keys and child seeds every seeded output rests on
+        keys = {seed: simulation._philox_key(seed).tolist() for seed in (0, 7, 2**64 - 1)}
+        assert keys == {
+            0: [0xDB2CD7E7B0F478BE, 0xABF4641A2C71BA49],
+            7: [0xEAD0F7017C326E58, 0x0879C4F0F97E037A],
+            2**64 - 1: [0xAEBCA151928CAD0D, 0x119C30448638DC7A],
+        }
+        children = {args: simulation._child_seed(*args) for args in
+                    [(4, 0, 0), (4, 0, 3), (4, 1, 0), (4, 1, 3), (2**64 - 1, 1, 2)]}
+        assert children == {
+            (4, 0, 0): 0x0326D79213FE0470,
+            (4, 0, 3): 0xE514987FD24B1FAF,
+            (4, 1, 0): 0x9F71B9921E0D1CC9,
+            (4, 1, 3): 0x205D8BD19F414D83,
+            (2**64 - 1, 1, 2): 0x8C30FD1AFA569176,
+        }
+
+
 # ---------------------------------------------------------------- threads
 
 
