@@ -28,6 +28,7 @@ opened before any computation, as a shell redirection would open them.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -541,5 +542,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry() -> None:
+    """Run ``main`` as the whole process: freeze the heap, so exit's collections skip
+    what dies with the process, then exit with its status. ``main`` freezes nothing."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

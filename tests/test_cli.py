@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -734,17 +735,27 @@ class TestPinnedOutput:
 # ---------------------------------------------------------------- start-up
 
 
-def layers_imported(run_python, *argv) -> set[str]:
-    """The layers of the simulation and the sweep that the CLI imports, run as by ``-m``."""
-    code = ("import runpy, sys\n"
+def as_main(run_python, shown: str, *argv) -> tuple[int, str]:
+    """Run the CLI as ``-m`` does in a fresh interpreter; a ``finally`` prints ``shown``.
+
+    Returns the exit code and the printed text.
+    """
+    code = ("import gc, runpy, sys\n"
             "try:\n"
             "    runpy.run_module('contextprob.cli', run_name='__main__', alter_sys=True)\n"
             "finally:\n"
-            "    print(*sorted(m for m in sys.modules if m.startswith('contextprob.')))\n")
+            f"    print({shown})\n")
     child = run_python("-c", code, *argv)
-    assert child.returncode == 0, child.stderr
-    names = set(child.stdout.splitlines()[-1].split())
-    return names & {"contextprob.simulation", "contextprob.verification"}
+    assert child.stdout, child.stderr
+    return child.returncode, child.stdout.splitlines()[-1]
+
+
+def layers_imported(run_python, *argv) -> set[str]:
+    """The layers of the simulation and the sweep that the CLI imports, run as by ``-m``."""
+    shown = "*sorted(m for m in sys.modules if m.startswith('contextprob.'))"
+    code, text = as_main(run_python, shown, *argv)
+    assert code == 0
+    return set(text.split()) & {"contextprob.simulation", "contextprob.verification"}
 
 
 class TestStartUp:
@@ -775,6 +786,32 @@ class TestStartUp:
         with pytest.raises(AttributeError, match=f"module 'contextprob.cli' has no attribute "
                                                  f"'{name}'"):
             getattr(cli, name)
+
+
+class TestProcessEntry:
+    """``python -m contextprob.cli`` and the console script end through ``cli.entry``."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (VERIFY, 0),
+        ([*VERIFY, "--break-phase-flip"], 1),
+        (["verify", "--samples", "0"], 2),
+    ], ids=["passed", "failed-property", "input-error"])
+    def test_the_process_freezes_its_heap_before_it_exits(self, run_python, argv, status):
+        code, frozen = as_main(run_python, "gc.get_freeze_count()", *argv)
+        assert (code, int(frozen) > 0) == (status, True)
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert run(capsys, *VERIFY)[0] == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("case", ["verify-table", "verify-break-phase-flip-csv",
+                                      "verify-zero-samples", "help"])
+    def test_the_module_run_writes_the_pinned_bytes(self, run_python, case):
+        pinned = json.loads(PINNED_PATH.read_text(encoding="utf-8"))[case]
+        child = run_python("-m", "contextprob.cli", *PINNED_CASES[case], env={"COLUMNS": "80"})
+        assert (child.returncode, child.stdout, child.stderr) == (
+            pinned["code"], pinned["stdout"], CHANGED_STDERR.get(case, pinned["stderr"]))
 
 
 # ---------------------------------------------------------------- contract properties
