@@ -25,14 +25,14 @@ def summary(**metrics):
 def test_pairs_alternate_with_the_parent_first_in_even_pairs():
     calls = []
 
-    def runner(tree, workload, seed, seconds, env):
-        calls.append((tree, workload, seed, seconds, env["X"]))
+    def runner(tree, workload, seed, env):
+        calls.append((tree, workload, seed, env["X"]))
         return summary(wall_ref=1.0)
 
-    runs = bench_pairs.pair_runs(runner, {"parent": "P", "change": "C"}, "verify", 4, 31, 2.5,
+    runs = bench_pairs.pair_runs(runner, {"parent": "P", "change": "C"}, "verify", 4, 31,
                                  {"X": "1"})
     assert [tree for tree, *_ in calls] == list("PCCPPCCP")
-    assert {tuple(rest) for _, *rest in calls} == {("verify", 31, 2.5, "1")}
+    assert {tuple(rest) for _, *rest in calls} == {("verify", 31, "1")}
     assert [(run["pair"], run["side"][0], run["position"]) for run in runs] == [
         (0, "p", 0), (0, "c", 1), (1, "c", 0), (1, "p", 1),
         (2, "p", 0), (2, "c", 1), (3, "c", 0), (3, "p", 1)]
@@ -45,7 +45,7 @@ def test_a_failed_run_is_kept_with_its_error_and_no_metrics():
         return {"correct": False, "error": "boom", "metrics": {}} if tree == "C" else summary(
             wall_ref=1.0)
 
-    runs = bench_pairs.pair_runs(runner, {"parent": "P", "change": "C"}, "scan", 1, 0, 1.0, {})
+    runs = bench_pairs.pair_runs(runner, {"parent": "P", "change": "C"}, "scan", 1, 0, {})
     assert runs[1] == {"pair": 0, "side": "change", "position": 1, "correct": False,
                        "attempted": None, "failed": None, "metrics": {}, "error": "boom"}
     assert bench_pairs.summarize(runs, DECLARED) == {}
@@ -101,8 +101,9 @@ def repo(tmp_path):
                         *args], check=True, capture_output=True)
 
     git("init", "-q")
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": DECLARED}))
-    for text in ("first", "second"):
+    for text, seconds in (("first", 20), ("second", 25)):
+        (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": seconds,
+                                                         "end_to_end": DECLARED}))
         (root / "marker").write_text(text)
         git("add", "-A")
         git("commit", "-q", "-m", text)
@@ -111,7 +112,7 @@ def repo(tmp_path):
 
 
 def fake_perfbench(seen):
-    def runner(tree, workload, seed, seconds, env):
+    def runner(tree, workload, seed, env):
         marker = (tree / "marker").read_text()
         seen.append((tree, marker, env["PYTHONDONTWRITEBYTECODE"], env.get("PYTHONPYCACHEPREFIX")))
         value = {"first": 2.0, "second": 1.0, "edited": 0.5}[marker]
@@ -126,7 +127,7 @@ def test_main_exports_both_sides_at_equal_path_lengths_and_writes_the_file(
     seen, out = [], tmp_path / "BENCH_0.json"
     assert bench_pairs.main(["--parent", "HEAD~1", "--change", "HEAD", "--workload", "verify",
                              "--workload", "scan", "--pairs", "2", "--seed", "3",
-                             "--seconds", "1.5", "--what", "a test", "--out", str(out)],
+                             "--what", "a test", "--out", str(out)],
                             runner=fake_perfbench(seen), root=repo) == 0
     trees = {tree: marker for tree, marker, *_ in seen}
     assert sorted(trees.values()) == ["first", "second"]
@@ -141,10 +142,15 @@ def test_main_exports_both_sides_at_equal_path_lengths_and_writes_the_file(
     assert set(result) == {"schema", "what", "commits", "method", "machine", "workloads"}
     assert result["schema"] == "bench_pairs/1"
     assert result["what"] == "a test"
-    head = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD", "HEAD~1"],
-                          capture_output=True, text=True, check=True).stdout.split()
-    assert result["commits"] == {"parent": head[1], "change": head[0], "change_revision": "HEAD"}
-    assert "--seed" in result["method"]["command"] and "3" in result["method"]["command"]
+    head = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD", "HEAD~1", "HEAD^{tree}",
+                           "HEAD~1^{tree}"], capture_output=True, text=True,
+                          check=True).stdout.split()
+    assert result["commits"] == {"parent": head[1], "change": head[0], "change_revision": "HEAD",
+                                 "trees": {"parent": head[3], "change": head[2]}}
+    # perfbench runs for each tree's own run_seconds: the runner passes no --seconds
+    assert result["method"]["command"] == ["python3", "perfbench/run.py", "--workload", "W",
+                                           "--seed", "3", "--trace", "0"]
+    assert result["method"]["run_seconds"] == {"parent": 20, "change": 25}
     assert {"nproc", "python", "numpy", "platform"} <= set(result["machine"])
     assert list(result["workloads"]) == ["verify", "scan"]
     for entry in result["workloads"].values():
@@ -157,12 +163,18 @@ def test_main_exports_both_sides_at_equal_path_lengths_and_writes_the_file(
 
 def test_the_working_tree_side_sees_uncommitted_edits_and_leaves_the_repository_as_it_was(
         repo, tmp_path):
-    seen = []
+    seen, out = [], tmp_path / "BENCH_0.json"
     bench_pairs.main(["--parent", "HEAD", "--workload", "verify", "--pairs", "1",
-                      "--out", str(tmp_path / "BENCH_0.json")], runner=fake_perfbench(seen),
-                     root=repo)
+                      "--out", str(out)], runner=fake_perfbench(seen), root=repo)
     assert sorted(marker for _, marker, *_ in seen) == ["edited", "second"]
     assert (repo / "marker").read_text() == "edited"
     stashes = subprocess.run(["git", "-C", str(repo), "stash", "list"], capture_output=True,
                              text=True, check=True).stdout
     assert stashes == ""
+    # a tree id names the measured files even once git collects the dangling commit
+    commits = json.loads(out.read_text())["commits"]
+    subprocess.run(["git", "-C", str(repo), "add", "marker"], check=True)
+    tree = subprocess.run(["git", "-C", str(repo), "write-tree"], capture_output=True, text=True,
+                          check=True).stdout.strip()
+    assert commits["change_revision"] == "worktree"
+    assert commits["trees"]["change"] == tree != commits["trees"]["parent"]

@@ -9,23 +9,25 @@ or the stash list. Untracked files are left out, so ``git add`` new ones first.
 
 For each workload, each pair runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed S --trace 0
 
-once in each tree, one after the other, in ABBA order: the parent runs first
-in even pairs and the change in odd ones. Every run has
-``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``: the fresh trees
-hold no bytecode and none is written, so both sides compile ``src/`` in every
-process and no run reads bytecode that another wrote, while the standard
-library and numpy load from their installed caches. A cache prefix would hide
-those caches too, and every process would compile numpy: ``import numpy``
-takes about 0.55 s that way against 0.17 s, and the benchmark would time the
-compiler rather than the program.
+once in each tree, one after the other, for the ``run_seconds`` of that tree's
+``BENCHMARK.json``, in ABBA order: the parent runs first in even pairs and the
+change in odd ones. Every run has ``PYTHONDONTWRITEBYTECODE=1`` and no
+``PYTHONPYCACHEPREFIX``: the fresh trees hold no bytecode and none is written,
+so both sides compile ``src/`` in every process and no run reads bytecode that
+another wrote, while the standard library and numpy load from their installed
+caches. A cache prefix would hide those caches too, and every process would
+compile numpy: ``import numpy`` takes about 0.55 s that way against 0.17 s,
+and the benchmark would time the compiler rather than the program.
 
-The output file has one schema: both commits, the machine facts, the method,
-every run, and per workload and declared end-to-end metric each side's
-median, quartiles (``statistics.quantiles``, inclusive) and IQR, the per-pair
-change/parent ratios, the pairs each side won (ties count for neither), and
-whether the change's gain in the median exceeds the parent's IQR.
+The output file has one schema: both commits and their tree ids, the machine
+facts, the method, every run, and per workload and declared end-to-end metric
+each side's median, quartiles (``statistics.quantiles``, inclusive) and IQR,
+the per-pair change/parent ratios, the pairs each side won (ties count for
+neither), and whether the change's gain in the median exceeds the parent's IQR.
+A ``worktree`` commit has no ref, so git may collect it; its tree id still
+matches any commit that holds the same files (``git rev-parse C^{tree}``).
 
 Run from the repository root, for example:
 
@@ -74,10 +76,10 @@ def export(root: Path, commit: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
+def run_perfbench(tree: Path, workload: str, seed: int, env: dict) -> dict:
     """One ``perfbench/run.py --trace 0`` run in ``tree``: its last stdout line, parsed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--trace", "0"]
     child = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = child.stdout.splitlines()
     if child.returncode or not lines:
@@ -85,14 +87,13 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, env: dic
     return json.loads(lines[-1])
 
 
-def pair_runs(runner, trees: dict, workload: str, pairs: int, seed: int, seconds: float,
-              env: dict) -> list[dict]:
+def pair_runs(runner, trees: dict, workload: str, pairs: int, seed: int, env: dict) -> list[dict]:
     """Every run of ``pairs`` ABBA pairs of ``workload``, in the order they ran."""
     runs = []
     for pair in range(pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
-            summary = runner(trees[side], workload, seed, seconds, env)
+            summary = runner(trees[side], workload, seed, env)
             run = {
                 "pair": pair,
                 "side": side,
@@ -179,25 +180,26 @@ def main(argv: list[str] | None = None, runner=run_perfbench, root: Path = ROOT)
                         help="a perfbench workload; repeat for more, run in the order given")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default: 10)")
     parser.add_argument("--seed", type=int, default=0, help="perfbench --seed (default: 0)")
-    parser.add_argument("--seconds", type=float, default=25.0,
-                        help="perfbench --seconds per run (default: 25)")
     parser.add_argument("--what", default="", help="one line on what the change does")
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     args = parser.parse_args(argv)
 
     commits = {"parent": resolve(root, args.parent), "change": resolve(root, args.change)}
+    commit_trees = {side: _git(root, "rev-parse", f"{commits[side]}^{{tree}}") for side in SIDES}
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))  # runs the finally
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         trees = {side: work / side for side in SIDES}  # equal names, equal path lengths
         for side in SIDES:
             export(root, commits[side], trees[side])
-        declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+        specs = {side: json.loads((trees[side] / "BENCHMARK.json").read_text())
+                 for side in SIDES}
+        declared = specs["change"]["end_to_end"]
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         env.pop("PYTHONPYCACHEPREFIX", None)
         workloads = {}
         for workload in args.workload:
-            runs = pair_runs(runner, trees, workload, args.pairs, args.seed, args.seconds, env)
+            runs = pair_runs(runner, trees, workload, args.pairs, args.seed, env)
             workloads[workload] = {"pairs": args.pairs, "runs": runs,
                                    "metrics": summarize(runs, declared)}
     finally:
@@ -206,10 +208,11 @@ def main(argv: list[str] | None = None, runner=run_perfbench, root: Path = ROOT)
     result = {
         "schema": SCHEMA,
         "what": args.what,
-        "commits": {**commits, "change_revision": args.change},
+        "commits": {**commits, "change_revision": args.change, "trees": commit_trees},
         "method": {
             "command": ["python3", "perfbench/run.py", "--workload", "W", "--seed",
-                        str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+                        str(args.seed), "--trace", "0"],
+            "run_seconds": {side: specs[side]["run_seconds"] for side in SIDES},
             "order": "ABBA: parent first in even pairs, change first in odd pairs",
             "trees": "git archive exports at <tmp>/parent and <tmp>/change",
             "env": {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": None},
