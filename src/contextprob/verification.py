@@ -1,10 +1,13 @@
 """Randomized self-checks over the angle parametrization.
 
 Each check sweeps a seeded sample of angle pairs (and, where relevant,
-settings and marginals) and records the worst residual it saw. The suite is
-what the ``verify`` command runs; the ``break_phase_flip`` switch turns the
-phase-flip check into its negative control so the failure path of the
-reporting machinery can be exercised on demand.
+settings and marginals) and returns every sample's residual; the two checks
+that only classify return a 0/1 failure indicator per sample. The sweep alone
+takes the worst over all blocks, from 0.0 up, and applies the tolerance, so
+a NaN residual is reported and fails. The suite is what the ``verify``
+command runs; the ``break_phase_flip`` switch turns the phase-flip check into
+its negative control so the failure path of the reporting machinery can be
+exercised on demand.
 
 The sweep is blocked: each check draws its inputs ``_BLOCK`` samples at a
 time, one ``rng.uniform`` call per block, and evaluates the whole block with
@@ -52,9 +55,10 @@ _BLOCK = 1 << 12
 class PropertyCheck:
     """Outcome of one randomized check.
 
-    ``worst_residual`` is the largest numeric residual the check measured;
-    checks that only classify (pass or fail per sample) report it as a 0/1
-    failure indicator instead.
+    ``worst_residual`` is the largest per-sample residual the check measured:
+    a 0/1 failure indicator for checks that only classify, chsh-bound's excess
+    ``|S| - 2 sqrt(2)`` clamped at 0.0, and NaN if a residual was NaN.
+    ``passed`` says whether it is within the tolerance, which NaN is not.
     """
 
     name: str
@@ -64,14 +68,13 @@ class PropertyCheck:
 
 
 def _sweep(rng: np.random.Generator, n_samples: int, block_check) -> tuple[float, bool]:
-    # ``block_check(rng, size)`` draws ``size`` samples and returns the
-    # block's worst residual and whether every sample in it passed.
-    worst, passed = 0.0, True
+    # ``block_check(rng, size)`` draws ``size`` samples and returns their residuals
+    # (an array, a list of equal-shaped arrays or a float). Unlike max, np.maximum keeps NaN.
+    worst = 0.0
     for start in range(0, n_samples, _BLOCK):
-        block_worst, block_passed = block_check(rng, min(_BLOCK, n_samples - start))
-        worst = max(worst, block_worst)
-        passed = passed and block_passed
-    return worst, passed
+        worst = np.maximum(worst, np.max(block_check(rng, min(_BLOCK, n_samples - start))))
+    worst = float(worst)
+    return worst, worst <= NORMALIZATION_TOL
 
 
 def _sample_angles(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,85 +130,71 @@ def run_property_suite(
     ]
 
 
-def _reconstruction_agreement(rng: np.random.Generator, size: int) -> tuple[float, bool]:
+def _reconstruction_agreement(rng: np.random.Generator, size: int) -> np.ndarray:
     # Interference route equals the closed form entrywise.
     xi, eta = _sample_angles(rng, size)
     recon = phase_entries(*angle_matrices(xi, eta), DEFAULT_SIGNS, flip_second_column=True)
-    worst = float(np.max(np.abs(conditional_probabilities(xi - eta) - recon)))
-    return worst, worst <= NORMALIZATION_TOL
+    return np.abs(conditional_probabilities(xi - eta) - recon)
 
 
-def _double_stochasticity(rng: np.random.Generator, size: int) -> tuple[float, bool]:
+def _double_stochasticity(rng: np.random.Generator, size: int) -> list[np.ndarray] | float:
     # All three conditional matrices, plus the reconstruction, have unit rows.
     xi, eta = _sample_angles(rng, size)
     p_ac, p_ba = angle_matrices(xi, eta)
     p_bc = conditional_probabilities(xi - eta)
     stacks = (p_ac, p_ba, p_bc, phase_entries(p_ac, p_ba, DEFAULT_SIGNS, flip_second_column=True))
-    worst = max(float(np.max(row_sum_residuals(m))) for m in stacks)
-    strictly_positive = all(bool(np.all(m > 0.0)) for m in (p_ac, p_ba, p_bc))
-    return worst, worst <= NORMALIZATION_TOL and strictly_positive
+    if not all(bool(np.all(m > 0.0)) for m in (p_ac, p_ba, p_bc)):
+        return 1.0
+    return [row_sum_residuals(m) for m in stacks]
 
 
-def _phase_opposition(rng: np.random.Generator, size: int) -> tuple[float, bool]:
+def _phase_opposition(rng: np.random.Generator, size: int) -> np.ndarray:
     # Opposite maximal phases keep the column normalized; equal ones cannot.
-    # The check only classifies, so its residual reads 0.
     p_ac, p_ba = angle_matrices(*_sample_angles(rng, size))
-    passed = all(
-        bool(np.all(phase_opposition_residuals(p_ac, p_ba, *pair) <= NORMALIZATION_TOL))
-        for pair in ((-1.0, 1.0), (1.0, -1.0))
-    ) and not any(
-        bool(np.any(phase_opposition_residuals(p_ac, p_ba, *pair) <= NORMALIZATION_TOL))
-        for pair in ((1.0, 1.0), (-1.0, -1.0))
+    w0, w1, w2, w3 = (
+        phase_opposition_residuals(p_ac, p_ba, *pair) <= NORMALIZATION_TOL
+        for pair in ((-1.0, 1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, -1.0))
     )
-    return 0.0, passed
+    return np.where(w0 & w1 & ~w2 & ~w3, 0.0, 1.0)
 
 
-def _selection_phase_flip(
-    rng: np.random.Generator, size: int, violate: bool
-) -> tuple[float, bool]:
+def _selection_phase_flip(rng: np.random.Generator, size: int, violate: bool) -> np.ndarray:
     # Rows of the reconstruction stay normalized exactly because the second
-    # selection context negates both phase cosines. The residual reported is
-    # a 0/1 failure indicator.
+    # selection context negates both phase cosines.
     p_ac, p_ba = angle_matrices(*_sample_angles(rng, size))
     entries = phase_entries(p_ac, p_ba, DEFAULT_SIGNS, flip_second_column=not violate)
-    passed = bool(np.all(row_sum_residuals(entries) <= NORMALIZATION_TOL))
-    return (0.0 if passed else 1.0), passed
+    return np.where(row_sum_residuals(entries) <= NORMALIZATION_TOL, 0.0, 1.0)
 
 
-def _coefficient_roundtrip(rng: np.random.Generator, size: int) -> tuple[float, bool]:
+def _coefficient_roundtrip(rng: np.random.Generator, size: int) -> list[np.ndarray]:
     # Feeding the closed-form entries back through the coefficient recovers
     # the maximal phase cosines, flipped in the second selection column.
     xi, eta = _sample_angles(rng, size)
     p_ac, p_ba = angle_matrices(xi, eta)
     closed = conditional_probabilities(xi - eta)
-    worst = 0.0
+    cosines = (DEFAULT_SIGNS.cos_theta_plus, DEFAULT_SIGNS.cos_theta_minus)
+    residuals = []
     for gamma, flip in ((0, 1.0), (1, -1.0)):
-        for beta, cos_theta in (
-            (0, DEFAULT_SIGNS.cos_theta_plus),
-            (1, DEFAULT_SIGNS.cos_theta_minus),
-        ):
+        for beta, cos_theta in enumerate(cosines):
             lam = coefficient_values(
                 closed[:, beta, gamma],
                 p_ac[:, 0, gamma], p_ba[:, beta, 0],
                 p_ac[:, 1, gamma], p_ba[:, beta, 1],
             )
-            worst = max(worst, float(np.max(np.abs(lam - flip * cos_theta))))
-    return worst, worst <= NORMALIZATION_TOL
+            residuals.append(np.abs(lam - flip * cos_theta))
+    return residuals
 
 
-def _correlation_closed_form(rng: np.random.Generator, size: int) -> tuple[float, bool]:
+def _correlation_closed_form(rng: np.random.Generator, size: int) -> np.ndarray:
     # E(delta) = -cos(2 delta), independent of the selection marginal. Each
     # sample draws its difference, then its marginal weight p(+).
     draws = rng.uniform([-2.0 * np.pi, 0.0], [2.0 * np.pi, 1.0], size=(size, 2))
     delta, p_plus = draws[:, 0], draws[:, 1]
-    value = correlation_values(delta, p_plus, 1.0 - p_plus)
-    worst = float(np.max(np.abs(value + np.cos(2.0 * delta))))
-    return worst, worst <= NORMALIZATION_TOL
+    return np.abs(correlation_values(delta, p_plus, 1.0 - p_plus) + np.cos(2.0 * delta))
 
 
-def _chsh_bound(rng: np.random.Generator, size: int) -> tuple[float, bool]:
+def _chsh_bound(rng: np.random.Generator, size: int) -> np.ndarray:
     # |S| never exceeds 2 sqrt(2) over arbitrary setting quadruples.
     a, a_prime, b, b_prime = rng.uniform(0.0, 2.0 * np.pi, size=(size, 4)).T
     s = chsh_values(a, a_prime, b, b_prime, 0.5, 0.5)  # uniform selection marginal
-    worst = float(np.max(np.maximum(np.abs(s) - _TSIRELSON, 0.0)))
-    return worst, worst <= NORMALIZATION_TOL
+    return np.abs(s) - _TSIRELSON

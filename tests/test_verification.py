@@ -139,7 +139,7 @@ def reference_suite(n, seed, tol=1e-12):
         ):
             plus, minus = ref_column(p_ac, p_ba, 0, cos_plus, cos_minus)
             passed = passed and (abs(plus + minus - 1.0) <= tol) == normalized
-    checks.append(("phase-opposition", 0.0, passed))
+    checks.append(("phase-opposition", 0.0 if passed else 1.0, passed))
 
     flip_passed = {False: True, True: True}
     for _ in range(n):
@@ -285,6 +285,42 @@ def test_block_size_never_changes_the_report(n, block, seed, break_phase_flip):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "_BLOCK", block)
         assert suite_json(n, seed, break_phase_flip) == reference
+
+
+# ---------------------------------------------------------------- failure paths
+
+
+class TestFailingChecksReportTheirWorstResidual:
+    """Only patching a kernel makes these checks fail. The sweep alone takes
+    the worst residual, so a failure is reported, never hidden."""
+
+    def check(self, name, n=BLOCK + 1):
+        (found,) = [c for c in run_property_suite(n, 5) if c.name == name]
+        return found.worst_residual, found.passed
+
+    def test_phase_opposition_reports_its_failure_indicator(self, monkeypatch):
+        # Zero residuals normalize the equal-sign columns too, which must fail.
+        monkeypatch.setattr(
+            verification, "phase_opposition_residuals", lambda p_ac, *_: np.zeros(len(p_ac))
+        )
+        assert self.check("phase-opposition") == (1.0, False)
+
+    def test_a_nan_residual_is_reported_and_fails(self, monkeypatch):
+        # max(0.0, nan) is 0.0, which would read as a pass.
+        monkeypatch.setattr(
+            verification, "correlation_values", lambda delta, *_: np.full(len(delta), np.nan)
+        )
+        worst, passed = self.check("correlation-closed-form")
+        assert math.isnan(worst) and passed is False
+
+    def test_a_non_positive_entry_fails_double_stochasticity(self, monkeypatch):
+        # Identity matrices have unit rows but zero entries.
+        def identities(xi, eta):
+            return (np.tile(np.eye(2), (len(xi), 1, 1)),) * 2
+
+        monkeypatch.setattr(verification, "angle_matrices", identities)
+        rng = np.random.default_rng(0)
+        assert verification._sweep(rng, 10, verification._double_stochasticity) == (1.0, False)
 
 
 # ---------------------------------------------------------------- kernels vs math
