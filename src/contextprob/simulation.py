@@ -23,14 +23,15 @@ Because block ``i`` is addressable directly, the trial range can be cut at
 any trial boundary without changing a single outcome. Counting and the gap
 statistics run on up to two threads, one per contiguous trial range, whose
 exact integer sums and extremes are combined in range order. A trace is
-counted and written on the caller's thread alone, in trial order. Trials go
-in blocks of a fixed internal size, so peak memory does not grow with the
-trial count; neither the block size nor the thread count ever changes an
-output byte or a returned bit. Each raw word is compared with ``t << 11``
-for the integer threshold ``t = ceil(p * 2**53)``, which decides exactly as
-``Generator.random() < p`` does on the same word, ``(word >> 11) * 2**-53``.
-The fixed-order time mode skips words 0 and 1 but never re-purposes them, so
-switching time modes leaves the (gamma, beta) stream untouched. Two time words
+counted and written on the caller's thread alone, in trial order. A thread
+draws a block of a fixed internal size only once its last is counted, so
+peak memory does not grow with the trial count; neither the block size nor
+the thread count ever changes an output byte or a returned bit. Each raw
+word is compared with ``t << 11`` for the integer threshold
+``t = ceil(p * 2**53)``, which decides exactly as ``Generator.random() < p``
+does on the same word, ``(word >> 11) * 2**-53``. The fixed-order time mode
+skips words 0 and 1 but never re-purposes them, so switching time modes
+leaves the (gamma, beta) stream untouched. Two time words
 tie when they are equal above bit 11, so give the same double; the rare tied
 trial is re-drawn from a reserved counter range far above the trial range
 (offset ``2**64``), again addressed by trial index. Times stay grid words
@@ -46,7 +47,9 @@ is bit-identical to the sign of ``cos(setting - hidden)`` without a cosine.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -58,7 +61,7 @@ from .core import BinaryDistribution
 from .eprbohm import CHSH_TERMS, AnglePair, LhvStrategy, TimeDistribution, conditional_probabilities
 from .errors import ContextualProbabilityError, PreconditionViolation, require_count, require_seed
 
-_BLOCK = 1 << 16  # trials per pass of the counting loop, over all threads
+_BLOCK = 1 << 15  # trials per pass of the counting loop, over all threads
 _TRACE_BLOCK = 1 << 10  # trials per pass of a traced run, whose text is written at once
 # counting threads, at most the usable cores (all cores where affinity is unknown)
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -159,6 +162,12 @@ def _philox_key(seed: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
+def _config_key(config: SimConfig) -> np.ndarray:
+    if not isinstance(config, SimConfig):
+        raise PreconditionViolation(f"config must be a SimConfig, got {config!r}")
+    return _philox_key(config.seed)
+
+
 def _child_seed(seed: int, branch: int, index: int) -> int:
     # One child integer per (branch, index), derived so different branches of
     # the same root seed never share a stream.
@@ -174,33 +183,35 @@ def _threshold(p: float) -> int:
     return math.ceil(p * 2**53)
 
 
-def _word_blocks(key: np.ndarray, start: int, stop: int, block: int, width=4):
-    """Yield ``(lo, words)`` for the trials in ``range(start, stop)``, ``block`` at a time.
-
-    Row ``i`` of ``words`` holds the ``width`` raw words of trial ``lo + i``,
-    which start at word ``width * (lo + i)`` of the Philox stream for ``key``:
-    trial ``i`` owns Philox block ``i`` at the default ``width`` of 4, and is
-    word ``i`` at ``width`` 1. The stream is read in order from trial ``start``
-    on, so neither the block size nor ``start`` changes a word.
-    """
+def _stream(key: np.ndarray, start: int, width: int) -> np.random.Philox:
+    # The Philox stream for key at trial start, where trial i has the width words
+    # from word width * i on: Philox block i at width 4, word i at width 1.
     word = width * start
     bitgen = np.random.Philox(key=key, counter=word // 4)
     bitgen.random_raw(word % 4)
+    return bitgen
+
+
+def _walk(key: np.ndarray, start: int, stop: int, block: int, visit, width=4):
+    # Yields visit(lo, words) for range(start, stop), block trials at a time, row i of
+    # words trial lo + i's, from one stream read in order: neither block nor start
+    # changes a word. Words go straight to visit and the next block is drawn once it has
+    # returned: one block is alive at a time. Fold the results as they come.
+    bitgen = _stream(key, start, width)
     for lo in range(start, stop, block):
-        m = min(block, stop - lo)
-        yield lo, bitgen.random_raw(width * m).reshape(m, width)
+        yield visit(lo, bitgen.random_raw(width * min(block, stop - lo)).reshape(-1, width))
 
 
-def _split(n: int, count) -> list:
-    # count(start, stop, block) for each of _WORKERS contiguous ranges of 0 .. n - 1,
-    # in range order, the first run on this thread and each other on its own, in
-    # blocks of ceil(_BLOCK / _WORKERS) trials: one block's words in flight in all.
+def _split(n: int, walk) -> list:
+    # walk(start, stop, block) for each of _WORKERS contiguous ranges of 0 .. n - 1, in
+    # range order, the first run on this thread and each other on its own, in blocks
+    # of ceil(_BLOCK / _WORKERS) trials: one block's words alive per thread.
     workers = _WORKERS
     results, failures = [None] * workers, []
 
     def run(w: int) -> None:
         try:
-            results[w] = count(n * w // workers, n * (w + 1) // workers, -(-_BLOCK // workers))
+            results[w] = walk(n * w // workers, n * (w + 1) // workers, -(-_BLOCK // workers))
         except BaseException as exc:
             if w == 0:  # raise the caller's own at once (an interrupt, say): helpers are daemons
                 raise
@@ -230,11 +241,9 @@ def _redraw_ties(key: np.ndarray, lo: int, words: np.ndarray, mode: TimeDistribu
         return 0
     n_redraws = 0
     for row in np.flatnonzero(_tied(words[:, 0], words[:, 1])).tolist():
-        pair = 2 * (_REDRAW_COUNTER_BASE + lo + row)  # pairs are trials of width 2
+        pairs = _stream(key, 2 * (_REDRAW_COUNTER_BASE + lo + row), 2)  # trials of width 2
         while _tied(words[row, 0], words[row, 1]):
-            _, drawn = next(_word_blocks(key, pair, pair + 1, 1, width=2))
-            words[row, :2] = drawn[0]
-            pair += 1
+            words[row, :2] = pairs.random_raw(2)
             n_redraws += 1
     return n_redraws
 
@@ -299,27 +308,27 @@ def _simulate_counts(
     t_gamma = _threshold(q_plus) << _LOW_BITS
     t_beta = [_threshold(p) << _LOW_BITS for p in cond[0]]  # under gamma +, then gamma -
 
-    def count(start: int, stop: int, block: int) -> np.ndarray:
+    def visit(lo: int, words: np.ndarray) -> np.ndarray:
         # the trials with gamma -, with beta - under gamma + and under gamma -, the redraws
-        totals = np.zeros(4, dtype=np.int64)
-        for lo, words in _word_blocks(key, start, stop, block):
-            gamma_minus = words[:, 2] >= t_gamma
-            # beta - as each trial would read it under gamma +, and under gamma -
-            beta_minus, beta_minus_if_minus = (words[:, 3] >= t for t in t_beta)
-            totals += (np.count_nonzero(gamma_minus),
-                       np.count_nonzero(beta_minus > gamma_minus),  # and gamma +
-                       np.count_nonzero(beta_minus_if_minus & gamma_minus),
-                       _redraw_ties(key, lo, words, time_distribution))
-            if trial_log is not None:
-                np.copyto(beta_minus, beta_minus_if_minus, where=gamma_minus)  # its own
-                cells = beta_minus.view(np.uint8)  # row-major index into the cells, in place
-                cells <<= 1
-                cells |= gamma_minus.view(np.uint8)
-                _write_trial_lines(trial_log, *_event_times(words, time_distribution), cells)
+        gamma_minus = words[:, 2] >= t_gamma
+        # beta - as each trial would read it under gamma +, and under gamma -
+        beta_minus, beta_minus_if_minus = (words[:, 3] >= t for t in t_beta)
+        totals = np.array((np.count_nonzero(gamma_minus),
+                           np.count_nonzero(beta_minus > gamma_minus),  # and gamma +
+                           np.count_nonzero(beta_minus_if_minus & gamma_minus),
+                           _redraw_ties(key, lo, words, time_distribution)))
+        if trial_log is not None:
+            np.copyto(beta_minus, beta_minus_if_minus, where=gamma_minus)  # its own
+            cells = beta_minus.view(np.uint8)  # row-major index into the cells, in place
+            cells <<= 1
+            cells |= gamma_minus.view(np.uint8)
+            _write_trial_lines(trial_log, *_event_times(words, time_distribution), cells)
         return totals
 
-    totals = sum(_split(n, count)) if trial_log is None else count(0, n, _TRACE_BLOCK)
-    gamma_minus, beta_minus_if_plus, beta_minus_if_minus, n_redraws = totals
+    # an empty range sums to 0, which adds nothing
+    totals = (_split(n, lambda *cut: sum(_walk(key, *cut, visit))) if trial_log is None
+              else _walk(key, 0, n, _TRACE_BLOCK, visit))
+    gamma_minus, beta_minus_if_plus, beta_minus_if_minus, n_redraws = sum(totals)
     counts = np.array([[n - gamma_minus - beta_minus_if_plus, gamma_minus - beta_minus_if_minus],
                        [beta_minus_if_plus, beta_minus_if_minus]])
     return counts, n_redraws
@@ -342,7 +351,7 @@ def run_simulation(config: SimConfig, *, trial_log: IO[str] | None = None) -> Si
     -------
     SimReport
     """
-    key = _philox_key(config.seed)
+    key = _config_key(config)
     cond = conditional_probabilities(config.angles.delta)
     counts, n_redraws = _simulate_counts(
         cond,
@@ -364,30 +373,30 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
     no redraws. In the uniform-square mode the gap is the absolute difference
     of two independent uniforms, with mean 1/3 and variance 1/18.
     """
-    key = _philox_key(config.seed)
+    key = _config_key(config)
     n, mode = config.n_pairs, config.time_distribution
 
-    def count(start: int, stop: int, block: int) -> tuple:
+    def visit(lo: int, words: np.ndarray) -> tuple:
         # d < 2**54 in three 18-bit limbs: each limb product is below 2**36, so
         # no block under 2**28 trials wraps the uint64 sums of the nine products
-        redraws, s1, s2, low, high = 0, 0, 0, math.inf, -math.inf
-        for lo, words in _word_blocks(key, start, stop, block):
-            redraws += _redraw_ties(key, lo, words, mode)
-            t_sel, t_meas = _event_times(words, mode)
-            d = t_meas - t_sel
-            limbs = (d >> _LIMBS) & np.uint64(2**18 - 1)
-            sums, pairs = limbs.sum(axis=1).tolist(), (limbs @ limbs.T).tolist()
-            s1 += sum(v << 18 * i for i, v in enumerate(sums))
-            s2 += sum(v << 18 * (i + j) for i, row in enumerate(pairs) for j, v in enumerate(row))
-            low, high = min(low, int(d.min())), max(high, int(d.max()))
-        return redraws, s1, s2, low, high
+        redraws = _redraw_ties(key, lo, words, mode)
+        t_sel, t_meas = _event_times(words, mode)
+        d = t_meas - t_sel
+        limbs = (d >> _LIMBS) & np.uint64(2**18 - 1)
+        sums, pairs = limbs.sum(axis=1).tolist(), (limbs @ limbs.T).tolist()
+        return (redraws, sum(v << 18 * i for i, v in enumerate(sums)),
+                sum(v << 18 * (i + j) for i, row in enumerate(pairs) for j, v in enumerate(row)),
+                int(d.min()), int(d.max()))
 
-    redraws, s1, s2, low, high = zip(*_split(n, count))
-    n_redraws, s1, s2 = sum(redraws), sum(s1), sum(s2)
+    def fold(a: tuple, b: tuple) -> tuple:  # redraws and exact gap sums add, extremes combine
+        return a[0] + b[0], a[1] + b[1], a[2] + b[2], min(a[3], b[3]), max(a[4], b[4])
+
+    n_redraws, s1, s2, low, high = functools.reduce(fold, _split(n, lambda *cut: functools.reduce(
+        fold, _walk(key, *cut, visit), (0, 0, 0, math.inf, -math.inf))))
     # mean and variance round once from exact rationals (numerator >= 0); sqrt rounds again
     return TimeOrderStats(n, n_redraws, n_redraws / n, mean_gap=s1 / (n << 53),
                           std_gap=math.sqrt((n * s2 - s1 * s1) / (n * n << 106)),
-                          min_gap=min(low) * _UNIT, max_gap=max(high) * _UNIT)
+                          min_gap=low * _UNIT, max_gap=high * _UNIT)
 
 
 _FLIP_CELLS = 4096  # cells per pass of the search for sign flips
@@ -406,11 +415,15 @@ def _scan(settings: tuple, n: int, seed: int, branch: int, agreements, side=floa
     # trials of term k whose signs agree, keyed by child (branch, k); x and y are
     # side(setting), worked out once per setting before any pair runs
     for name, setting in zip(("a", "a'", "b", "b'"), settings):
-        if not math.isfinite(setting):
-            raise PreconditionViolation(f"setting {name} must be finite, got {setting}")
+        try:  # an int or fraction beyond the largest double overflows
+            finite = isinstance(setting, numbers.Real) and math.isfinite(setting)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise PreconditionViolation(f"setting {name} must be finite, got {setting!r}")
     n = require_count(n, "n_per_setting")
     seed = require_seed(seed)
-    sides = [side(setting) for setting in settings]
+    sides = [side(float(setting)) for setting in settings]
     value = 0.0
     for k, ((i, j), sign) in enumerate(CHSH_TERMS):
         key = _philox_key(_child_seed(seed, branch, k))
@@ -434,6 +447,8 @@ def simulate_chsh(
     correlation from the counts, and combines them as
     ``E(a,b) - E(a,b') + E(a',b) + E(a',b')``.
     """
+    if not isinstance(marginal_c, BinaryDistribution):
+        raise PreconditionViolation(f"marginal_c must be a BinaryDistribution, got {marginal_c!r}")
 
     def agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
         cond = conditional_probabilities(x - y)
@@ -474,27 +489,29 @@ def _sign_agreements(x: list, y: list, n: int, key: np.ndarray) -> int:
     # number of the merged thresholds: where the raw word has passed them << 11.
     flips = sorted(t << _LOW_BITS for t in x + y)
 
-    def count(start: int, stop: int, block: int) -> int:
-        even = stop - start  # trials - passed(1st) + passed(2nd) - ...
-        for _, words in _word_blocks(key, start, stop, block, width=1):
-            for i, t in enumerate(flips):
-                passed = int(np.count_nonzero(words >= t))
-                even += passed if i % 2 else -passed
+    def visit(lo: int, words: np.ndarray) -> int:
+        even = len(words)  # trials - passed(1st) + passed(2nd) - ...
+        for i, t in enumerate(flips):
+            passed = int(np.count_nonzero(words >= t))
+            even += passed if i % 2 else -passed
         return even
 
-    return sum(_split(n, count))
+    return sum(_split(n, lambda *cut: sum(_walk(key, *cut, visit, width=1))))
 
 
 def _coin_agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
     # one word per trial: side a reads trials 0 .. n-1, side b trials n .. 2n-1
     half = _threshold(0.5) << _LOW_BITS
 
-    def count(start: int, stop: int, block: int) -> int:
-        sides = zip(_word_blocks(key, start, stop, block, width=1),
-                    _word_blocks(key, n + start, n + stop, block, width=1))
-        return sum(int(np.count_nonzero((a >= half) == (b >= half))) for (_, a), (_, b) in sides)
+    def walk(start: int, stop: int, block: int) -> int:
+        side_b = _stream(key, n + start, 1)  # read in step with side a's blocks
 
-    return sum(_split(n, count))
+        def visit(lo: int, a: np.ndarray) -> int:
+            return int(np.count_nonzero((a[:, 0] >= half) == (side_b.random_raw(len(a)) >= half)))
+
+        return sum(_walk(key, start, stop, block, visit, width=1))
+
+    return sum(_split(n, walk))
 
 
 def lhv_baseline_chsh(

@@ -85,6 +85,37 @@ class TestSimConfig:
             config(seed=-1)
 
 
+def traced_peak(run) -> int:
+    """The tracemalloc peak, in bytes, while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Each counting walker at n trials (per setting pair for a scan), with the bytes per
+# trial of its peak: its block's words, and its kernel's temporaries beside them
+COUNTING_WALKERS = {
+    # words 0 .. 3; the tie scan's xor (8) and at most five masks
+    "run_simulation": (lambda n: run_simulation(config(n=n)), 32, 13),
+    # words 0 .. 3; at most five masks
+    "run_simulation-fixed-order": (
+        lambda n: run_simulation(config(n=n, mode=TimeDistribution.FIXED_ORDER)), 32, 5),
+    # words 0 .. 3; the ordered times and gaps (24), and the gap limbs (24)
+    "time_order_statistics": (lambda n: time_order_statistics(config(n=n)), 32, 48),
+    "simulate_chsh": (
+        lambda n: simulate_chsh(*OPTIMAL, BinaryDistribution.uniform(), n, 1), 32, 5),
+    # the hidden-angle word; one mask
+    "lhv_baseline_chsh-sign": (
+        lambda n: lhv_baseline_chsh(*OPTIMAL, LhvStrategy.DETERMINISTIC_SIGN, n, 1), 8, 1),
+    # the words of side a and side b; three masks
+    "lhv_baseline_chsh-coin": (
+        lambda n: lhv_baseline_chsh(*OPTIMAL, LhvStrategy.RANDOM_LOCAL, n, 1), 16, 3),
+}
+
+
 class TestRunSimulation:
     def test_identical_seeds_identical_reports(self, report_json):
         r1 = run_simulation(config())
@@ -189,15 +220,33 @@ class TestRunSimulation:
                 pass
 
         def peak(blocks):
-            tracemalloc.start()
-            try:
-                run_simulation(config(n=blocks * simulation._TRACE_BLOCK), trial_log=Discard())
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: run_simulation(
+                config(n=blocks * simulation._TRACE_BLOCK), trial_log=Discard()))
 
         run_simulation(config(n=1), trial_log=Discard())  # imports orjson before measuring
         assert peak(32) <= peak(4) + (1 << 14)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("walker", list(COUNTING_WALKERS))
+    def test_counting_holds_one_block_of_words_per_worker(self, monkeypatch, walker, workers):
+        # A worker draws its next block only once the last is counted, so the peak over
+        # four blocks per worker is one block's words and the kernel's temporaries per
+        # worker, _BLOCK trials' in all; Python objects fit in the 64 KiB. Holding a
+        # second block's words breaks the bound, at one worker whatever the timing.
+        run, words, temporaries = COUNTING_WALKERS[walker]
+        monkeypatch.setattr(simulation, "_WORKERS", workers)
+        block = -(-simulation._BLOCK // workers)
+        run(1)  # what is made once per process is made before measuring
+        peak = traced_peak(lambda: run(4 * block * workers))
+        assert peak <= block * workers * (words + temporaries) + (1 << 16)
+
+    @pytest.mark.parametrize("walker", list(COUNTING_WALKERS))
+    def test_counting_memory_does_not_grow_with_the_block_count(self, monkeypatch, walker):
+        # each block's result is folded in as it comes, so 2048 blocks hold what 32 do
+        run = COUNTING_WALKERS[walker][0]
+        monkeypatch.setattr(simulation, "_BLOCK", 32)
+        run(1)
+        assert traced_peak(lambda: run(32 * 2048)) <= traced_peak(lambda: run(32 * 32)) + (1 << 14)
 
     def test_fixed_order_logs_unit_interval_endpoints(self):
         buffer = io.StringIO()
@@ -396,6 +445,40 @@ class TestLhvBaseline:
             simulate_chsh(*OPTIMAL[:3], bad, BinaryDistribution.uniform(), 10, 1)
 
 
+SCANS = {
+    "simulate_chsh": lambda *s: simulate_chsh(*s, BinaryDistribution.uniform(), 10, 1),
+    **{f"lhv_baseline_chsh-{strategy.name}": lambda *s, strategy=strategy:
+       lhv_baseline_chsh(*s, strategy, 10, 1) for strategy in LhvStrategy},
+}
+
+
+BAD_SETTINGS = {"str": "0", "None": None, "complex": 1j, "huge": 10**400, "-huge": -(10**400)}
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: simulate_chsh(0, 1, 0.5, 0.2, 0.5, 10, 1),
+                 "marginal_c must be a BinaryDistribution, got 0.5", id="marginal"),
+    pytest.param(lambda: run_simulation(None), "config must be a SimConfig, got None",
+                 id="run_simulation"),
+    pytest.param(lambda: time_order_statistics(None), "config must be a SimConfig, got None",
+                 id="time_order_statistics"),
+    *[pytest.param(lambda scan=scan, bad=bad: scan(0.0, 1.0, bad, 0.2),
+                   f"setting b must be finite, got {bad!r}", id=f"{name}-{kind}")
+      for name, scan in SCANS.items() for kind, bad in BAD_SETTINGS.items()],
+])
+def test_inputs_of_the_wrong_type_or_size_raise_a_typed_error(call, message):
+    with pytest.raises(PreconditionViolation) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", list(SCANS))
+def test_a_setting_of_any_real_type_scans_as_its_double(name):
+    # ints beyond any fixed width, numpy scalars and fractions all scan as float(setting)
+    settings = (10**300, np.float32(0.5), Fraction(1, 3), np.int64(3))
+    assert SCANS[name](*settings) == SCANS[name](*map(float, settings))
+
+
 # ---------------------------------------------------------------- counting kernel
 #
 # The references below are the straightforward float versions of the kernel:
@@ -478,15 +561,23 @@ def reference_baseline(angles, strategy, n, seed):
 
 
 def edit_words(monkeypatch, edit):
-    """Pass every block of raw words that ``_word_blocks`` yields through ``edit`` first."""
-    word_blocks = simulation._word_blocks
+    """Pass every draw of raw words from a ``_stream`` through ``edit`` first.
 
-    def edited(*args, **kwargs):
-        for lo, words in word_blocks(*args, **kwargs):
-            edit(words)
-            yield lo, words
+    ``edit`` sees each draw as rows of the stream's width, in draw order: a
+    walk's block of trials, a redraw's pair, a block of the coin's side b.
+    """
+    stream = simulation._stream
 
-    monkeypatch.setattr(simulation, "_word_blocks", edited)
+    class Edited:
+        def __init__(self, key, start, width):
+            self.bitgen, self.width = stream(key, start, width), width
+
+        def random_raw(self, size):
+            words = self.bitgen.random_raw(size)
+            edit(words.reshape(-1, self.width))  # a view: the edit lands in words
+            return words
+
+    monkeypatch.setattr(simulation, "_stream", Edited)
 
 
 def tie(first, second):
@@ -1022,10 +1113,10 @@ class TestPhiloxOracle:
 
     @pytest.mark.parametrize("width", [4, 2, 1])
     @pytest.mark.parametrize("start", [1, 6, 2**62 - 3, 2**64 + 3])
-    def test_word_blocks_read_the_stream_at_width_times_trial(self, width, start):
+    def test_walk_reads_the_stream_at_width_times_trial(self, width, start):
         key, stop = simulation._philox_key(11), start + 7
-        rows = [(lo, words.tolist()) for lo, words in
-                simulation._word_blocks(key, start, stop, 3, width=width)]
+        rows = list(simulation._walk(key, start, stop, 3, lambda lo, words: (lo, words.tolist()),
+                                     width=width))
         assert [lo for lo, _ in rows] == [start, start + 3, start + 6]
         words = [row for _, block in rows for row in block]
         assert words == [[stream_word(key, width * trial + i) for i in range(width)]
