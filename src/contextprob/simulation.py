@@ -25,18 +25,19 @@ statistics run on up to two threads, one per contiguous trial range, whose
 exact integer sums and extremes are combined in range order. A trace is
 counted and written on the caller's thread alone, in trial order. A thread
 draws a block of a fixed internal size only once its last is counted, so
-peak memory does not grow with the trial count; neither the block size nor
+peak memory does not grow with the trial count; an error or interrupt in
+one thread stops the others within one block. Neither the block size nor
 the thread count ever changes an output byte or a returned bit. Each raw
 word is compared with ``t << 11`` for the integer threshold
 ``t = ceil(p * 2**53)``, which decides exactly as ``Generator.random() < p``
 does on the same word, ``(word >> 11) * 2**-53``. The fixed-order time mode
 skips words 0 and 1 but never re-purposes them, so switching time modes
-leaves the (gamma, beta) stream untouched. Two time words
-tie when they are equal above bit 11, so give the same double; the rare tied
-trial is re-drawn from a reserved counter range far above the trial range
-(offset ``2**64``), again addressed by trial index. Times stay grid words
-``k = word >> 11`` until a trace prints them as ``k * 2**-53``, in the
-shortest digits that read back to the same double, as ``repr`` does.
+leaves the (gamma, beta) stream untouched. Two time words tie when they are
+equal above bit 11, so give the same double; the rare tied trial is re-drawn
+from a reserved counter range far above the trial range (offset ``2**64``),
+again addressed by trial index. Times stay grid words ``k = word >> 11``
+until a trace prints them as ``k * 2**-53``, in the shortest digits that
+read back to the same double, as ``repr`` does.
 
 Four-setting scans derive one child seed per setting pair from the root seed,
 so the pairs are independent but the whole scan replays from a single integer.
@@ -50,6 +51,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -192,40 +194,41 @@ def _stream(key: np.ndarray, start: int, width: int) -> np.random.Philox:
     return bitgen
 
 
-def _walk(key: np.ndarray, start: int, stop: int, block: int, visit, width=4):
-    # Yields visit(lo, words) for range(start, stop), block trials at a time, row i of
-    # words trial lo + i's, from one stream read in order: neither block nor start
-    # changes a word. Words go straight to visit and the next block is drawn once it has
-    # returned: one block is alive at a time. Fold the results as they come.
-    bitgen = _stream(key, start, width)
-    for lo in range(start, stop, block):
-        yield visit(lo, bitgen.random_raw(width * min(block, stop - lo)).reshape(-1, width))
-
-
-def _split(n: int, walk) -> list:
-    # walk(start, stop, block) for each of _WORKERS contiguous ranges of 0 .. n - 1, in
-    # range order, the first run on this thread and each other on its own, in blocks
-    # of ceil(_BLOCK / _WORKERS) trials: one block's words alive per thread.
-    workers = _WORKERS
-    results, failures = [None] * workers, []
+def _walk(key: np.ndarray, n: int, visit, fold=operator.add, width=4, block=None, workers=None):
+    # fold(visit(lo, words), ...) over trials 0 .. n - 1 (row i of words is trial lo + i's),
+    # in blocks from one stream per contiguous range; range 0 runs here, each other on a thread
+    workers = workers or _WORKERS
+    block = block or -(-_BLOCK // workers)
+    results, failures, ended = {}, [], [threading.Event() for _ in range(workers)]
 
     def run(w: int) -> None:
+        start, stop = n * w // workers, n * (w + 1) // workers
         try:
-            results[w] = walk(n * w // workers, n * (w + 1) // workers, -(-_BLOCK // workers))
-        except BaseException as exc:
-            if w == 0:  # raise the caller's own at once (an interrupt, say): helpers are daemons
-                raise
-            failures.append(exc)  # a helper's, re-raised in the caller below
+            bitgen = _stream(key, start, width)
+            for lo in range(start, stop, block):
+                if failures:  # a range has failed: draw nothing more
+                    return
+                value = visit(lo, bitgen.random_raw((min(block, stop - lo), width)))
+                results[w] = fold(results[w], value) if lo > start else value
+        except BaseException as exc:  # an interrupt of this thread too
+            failures.append(exc)
+        finally:
+            ended[w].set()
 
     threads = [threading.Thread(target=run, args=(w,), daemon=True) for w in range(1, workers)]
     for thread in threads:
         thread.start()
     run(0)
-    for thread in threads:
-        thread.join()
+    for end, thread in zip(ended[1:], threads):
+        while thread.is_alive():  # a join cut short by an interrupt marks a live thread stopped
+            try:
+                end.wait()
+                thread.join()
+            except BaseException as exc:  # an interrupt while waiting stops the helpers too
+                failures.append(exc)
     if failures:
         raise failures[0]
-    return results
+    return functools.reduce(fold, (results[w] for w in sorted(results)))
 
 
 def _tied(first, second):
@@ -325,10 +328,8 @@ def _simulate_counts(
             _write_trial_lines(trial_log, *_event_times(words, time_distribution), cells)
         return totals
 
-    # an empty range sums to 0, which adds nothing
-    totals = (_split(n, lambda *cut: sum(_walk(key, *cut, visit))) if trial_log is None
-              else _walk(key, 0, n, _TRACE_BLOCK, visit))
-    gamma_minus, beta_minus_if_plus, beta_minus_if_minus, n_redraws = sum(totals)
+    traced = {} if trial_log is None else {"workers": 1, "block": _TRACE_BLOCK}  # in trial order
+    gamma_minus, beta_minus_if_plus, beta_minus_if_minus, n_redraws = _walk(key, n, visit, **traced)
     counts = np.array([[n - gamma_minus - beta_minus_if_plus, gamma_minus - beta_minus_if_minus],
                        [beta_minus_if_plus, beta_minus_if_minus]])
     return counts, n_redraws
@@ -380,9 +381,10 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
         # d < 2**54 in three 18-bit limbs: each limb product is below 2**36, so
         # no block under 2**28 trials wraps the uint64 sums of the nine products
         redraws = _redraw_ties(key, lo, words, mode)
-        t_sel, t_meas = _event_times(words, mode)
-        d = t_meas - t_sel
-        limbs = (d >> _LIMBS) & np.uint64(2**18 - 1)
+        t_sel, d = _event_times(words, mode)
+        d -= t_sel
+        limbs = d >> _LIMBS
+        limbs &= np.uint64(2**18 - 1)
         sums, pairs = limbs.sum(axis=1).tolist(), (limbs @ limbs.T).tolist()
         return (redraws, sum(v << 18 * i for i, v in enumerate(sums)),
                 sum(v << 18 * (i + j) for i, row in enumerate(pairs) for j, v in enumerate(row)),
@@ -391,8 +393,7 @@ def time_order_statistics(config: SimConfig) -> TimeOrderStats:
     def fold(a: tuple, b: tuple) -> tuple:  # redraws and exact gap sums add, extremes combine
         return a[0] + b[0], a[1] + b[1], a[2] + b[2], min(a[3], b[3]), max(a[4], b[4])
 
-    n_redraws, s1, s2, low, high = functools.reduce(fold, _split(n, lambda *cut: functools.reduce(
-        fold, _walk(key, *cut, visit), (0, 0, 0, math.inf, -math.inf))))
+    n_redraws, s1, s2, low, high = _walk(key, n, visit, fold)
     # mean and variance round once from exact rationals (numerator >= 0); sqrt rounds again
     return TimeOrderStats(n, n_redraws, n_redraws / n, mean_gap=s1 / (n << 53),
                           std_gap=math.sqrt((n * s2 - s1 * s1) / (n * n << 106)),
@@ -496,22 +497,20 @@ def _sign_agreements(x: list, y: list, n: int, key: np.ndarray) -> int:
             even += passed if i % 2 else -passed
         return even
 
-    return sum(_split(n, lambda *cut: sum(_walk(key, *cut, visit, width=1))))
+    return _walk(key, n, visit, width=1)
 
 
 def _coin_agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
     # one word per trial: side a reads trials 0 .. n-1, side b trials n .. 2n-1
-    half = _threshold(0.5) << _LOW_BITS
+    half, side_b = _threshold(0.5) << _LOW_BITS, {}  # each range's side b, by its next trial
 
-    def walk(start: int, stop: int, block: int) -> int:
-        side_b = _stream(key, n + start, 1)  # read in step with side a's blocks
+    def visit(lo: int, a: np.ndarray) -> int:
+        b = side_b.pop(lo, None) or _stream(key, n + lo, 1)  # made at the range's first block
+        agree = np.count_nonzero((a[:, 0] >= half) == (b.random_raw(len(a)) >= half))
+        side_b[lo + len(a)] = b  # filed once read: range 1 may take over range 0's
+        return int(agree)
 
-        def visit(lo: int, a: np.ndarray) -> int:
-            return int(np.count_nonzero((a[:, 0] >= half) == (side_b.random_raw(len(a)) >= half)))
-
-        return sum(_walk(key, start, stop, block, visit, width=1))
-
-    return sum(_split(n, walk))
+    return _walk(key, n, visit, width=1)
 
 
 def lhv_baseline_chsh(

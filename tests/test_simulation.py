@@ -1,8 +1,11 @@
+import _thread
+import contextlib
 import io
 import itertools
 import json
 import math
 import os
+import signal
 import sys
 import threading
 import time
@@ -103,8 +106,9 @@ COUNTING_WALKERS = {
     # words 0 .. 3; at most five masks
     "run_simulation-fixed-order": (
         lambda n: run_simulation(config(n=n, mode=TimeDistribution.FIXED_ORDER)), 32, 5),
-    # words 0 .. 3; the ordered times and gaps (24), and the gap limbs (24)
-    "time_order_statistics": (lambda n: time_order_statistics(config(n=n)), 32, 48),
+    # words 0 .. 3; the ordered times, the later one turned into the gap in place (16), and
+    # the gap limbs (24)
+    "time_order_statistics": (lambda n: time_order_statistics(config(n=n)), 32, 40),
     "simulate_chsh": (
         lambda n: simulate_chsh(*OPTIMAL, BinaryDistribution.uniform(), n, 1), 32, 5),
     # the hidden-angle word; one mask
@@ -421,6 +425,38 @@ class TestLhvBaseline:
         s1 = lhv_baseline_chsh(*OPTIMAL, LhvStrategy.DETERMINISTIC_SIGN, 50_000, 21)
         s2 = lhv_baseline_chsh(*OPTIMAL, LhvStrategy.DETERMINISTIC_SIGN, 50_000, 21)
         assert s1 == s2
+
+    def test_random_local_reads_each_side_of_a_range_from_one_stream(self, monkeypatch):
+        # a stream per block of side b would read the same words, slower (about 10 us a
+        # build): at most one per range and side, two ranges per setting pair (range 1 takes
+        # over range 0's side b if range 0 ends first)
+        monkeypatch.setattr(simulation, "_WORKERS", 2)
+        monkeypatch.setattr(simulation, "_BLOCK", 64)
+        expected = lhv_baseline_chsh(*OPTIMAL, LhvStrategy.RANDOM_LOCAL, 1_000, 3)
+        builds, stream = [], simulation._stream
+        monkeypatch.setattr(simulation, "_stream", lambda *args: builds.append(args) or stream(*args))
+        assert lhv_baseline_chsh(*OPTIMAL, LhvStrategy.RANDOM_LOCAL, 1_000, 3) == expected
+        assert len(builds) <= 4 * 2 * 2
+
+    def test_random_local_hands_on_a_side_b_stream_only_once_it_has_read(self, monkeypatch):
+        # Range 1 (trials 500 .. 999) draws its side-a block 20 ms late, and range 0 its
+        # side-b block 50 ms late: a stream filed for trial 500 before its draw would be
+        # taken by range 1, which would read side b's trials 0 .. 499 first
+        monkeypatch.setattr(simulation, "_WORKERS", 2)
+        expected = lhv_baseline_chsh(*OPTIMAL, LhvStrategy.RANDOM_LOCAL, 1_000, 3)
+        stream, delays = simulation._stream, {500: 0.02, 1_000: 0.05}
+
+        class Late:
+            def __init__(self, key, start, width):
+                self.bitgen, self.delay = stream(key, start, width), delays.get(start, 0.0)
+
+            def random_raw(self, size):  # only the stream's first draw is late
+                delay, self.delay = self.delay, 0.0
+                time.sleep(delay)
+                return self.bitgen.random_raw(size)
+
+        monkeypatch.setattr(simulation, "_stream", Late)
+        assert lhv_baseline_chsh(*OPTIMAL, LhvStrategy.RANDOM_LOCAL, 1_000, 3) == expected
 
     def test_rejects_zero_trials(self):
         with pytest.raises(InvalidCount):
@@ -1113,14 +1149,21 @@ class TestPhiloxOracle:
 
     @pytest.mark.parametrize("width", [4, 2, 1])
     @pytest.mark.parametrize("start", [1, 6, 2**62 - 3, 2**64 + 3])
-    def test_walk_reads_the_stream_at_width_times_trial(self, width, start):
-        key, stop = simulation._philox_key(11), start + 7
-        rows = list(simulation._walk(key, start, stop, 3, lambda lo, words: (lo, words.tolist()),
-                                     width=width))
-        assert [lo for lo, _ in rows] == [start, start + 3, start + 6]
+    def test_stream_reads_from_word_width_times_trial(self, width, start):
+        key = simulation._philox_key(11)
+        words = simulation._stream(key, start, width).random_raw(7 * width).tolist()
+        assert words == [stream_word(key, width * start + i) for i in range(7 * width)]
+
+    @pytest.mark.parametrize("width", [4, 2, 1])
+    def test_walk_visits_trial_lo_plus_i_in_row_i(self, width):
+        # the visits' lists fold by concatenation, so the result lists every block in order
+        key = simulation._philox_key(11)
+        rows = simulation._walk(key, 7, lambda lo, words: [(lo, words.tolist())], width=width,
+                                block=3, workers=1)
+        assert [lo for lo, _ in rows] == [0, 3, 6]
         words = [row for _, block in rows for row in block]
         assert words == [[stream_word(key, width * trial + i) for i in range(width)]
-                         for trial in range(start, stop)]
+                         for trial in range(7)]
 
     @pytest.mark.parametrize("lo", [0, 2**63 - 3])
     def test_a_tied_trial_is_redrawn_from_its_pair_above_2_64(self, lo):
@@ -1167,63 +1210,146 @@ class TestCountingThreads:
         assert 1 <= simulation._WORKERS <= min(2, len(os.sched_getaffinity(0)))
 
     @pytest.mark.parametrize("failing_range", [0, 1, 2])
-    def test_an_exception_in_any_range_reaches_the_caller(self, monkeypatch, failing_range):
-        monkeypatch.setattr(simulation, "_WORKERS", 3)
-        threads = []
+    def test_an_exception_in_any_range_reaches_the_caller(self, failing_range):
+        before = set(threading.enumerate())
 
-        def count(start, stop, block):
-            threads.append(threading.current_thread())
-            if start == 300 * failing_range:
+        def visit(lo, words):
+            if lo == 300 * failing_range:
                 raise Boom(f"range {failing_range}")
-            return stop - start
+            return len(words)
 
         with pytest.raises(Boom, match=f"range {failing_range}"):
-            simulation._split(900, count)
-        helpers = [t for t in threads if t is not threading.current_thread()]
-        assert len(helpers) == 2
-        for thread in helpers:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
+            simulation._walk(simulation._philox_key(1), 900, visit, workers=3)
+        assert set(threading.enumerate()) <= before  # every helper has ended
 
-    def test_a_failing_caller_range_does_not_wait_for_the_others(self, monkeypatch):
-        # an interrupt on the calling thread must not wait out a helper's whole range
-        monkeypatch.setattr(simulation, "_WORKERS", 2)
-        entered, release, helpers = threading.Event(), threading.Event(), []
+    def test_a_failing_range_waits_at_most_one_block_for_the_others(self):
+        # the helper's range is 50 blocks of 20 ms; range 0 fails once it is in its first
+        entered, visits = threading.Event(), []
 
-        def count(start, stop, block):
-            if start == 0:
-                entered.wait(timeout=5)  # fail while the helper is still counting
+        def visit(lo, words):
+            if lo == 0:
+                entered.wait(timeout=5)
                 raise Boom("range 0")
-            helpers.append(threading.current_thread())
+            visits.append(lo)
             entered.set()
-            release.wait(timeout=5)
-            return stop - start
+            time.sleep(0.02)
+            return len(words)
 
         began = time.monotonic()
-        try:
-            with pytest.raises(Boom, match="range 0"):
-                simulation._split(100, count)
-            assert time.monotonic() - began < 1.0
-        finally:
-            release.set()
-        assert len(helpers) == 1
-        helpers[0].join(timeout=10)
-        assert not helpers[0].is_alive()
+        with pytest.raises(Boom, match="range 0"):
+            simulation._walk(simulation._philox_key(1), 100, visit, block=1, workers=2)
+        assert time.monotonic() - began < 0.5
+        assert 1 <= len(visits) <= 2
 
     def test_ranges_cover_the_trials_once_in_blocks_of_the_worker_share(self, monkeypatch):
         monkeypatch.setattr(simulation, "_WORKERS", 3)
         monkeypatch.setattr(simulation, "_BLOCK", 10)
-        ranges = []
+        caller = threading.current_thread()
 
-        def count(start, stop, block):
-            ranges.append((start, stop, block))
-            return np.array([stop - start, 1])
+        def visit(lo, words):  # lists fold by concatenation, so the order of the folds shows
+            return [(lo, len(words), threading.current_thread() is caller)]
 
-        results = simulation._split(1_000, count)
-        assert sum(results).tolist() == [1_000, 3]
-        # one result per range, in range order whichever thread finished first
-        assert [result.tolist() for result in results] == [[333, 1], [333, 1], [334, 1]]
-        assert sorted(ranges) == [(0, 333, 4), (333, 666, 4), (666, 1_000, 4)]
+        key = simulation._philox_key(1)
+        # in trial order whichever thread finished first, range 0 on the calling thread
+        assert simulation._walk(key, 1_000, visit) == [
+            (lo, min(4, stop - lo), start == 0)
+            for start, stop in [(0, 333), (333, 666), (666, 1_000)]
+            for lo in range(start, stop, 4)]
+        # range 0 and no other is empty: there is nothing of it to fold
+        assert simulation._walk(key, 2, visit) == [(0, 1, False), (1, 1, False)]
+
+    N = 1 << 24  # trials of a two-range run_simulation: 512 blocks a range
+
+    @contextlib.contextmanager
+    def two_ranges(self, monkeypatch, on_block):
+        """Make run_simulation walk two ranges and call ``on_block(range, index)`` per block.
+
+        It hooks ``_redraw_ties``, which the visit calls once per block; index
+        counts the range's blocks from 0. Yields ``stop``, an Event the test
+        sets as it fails a range and SIGINT's handler sets as it raises
+        KeyboardInterrupt, and ``after``, the blocks each range begins once
+        ``stop`` is set. On exit no helper may be alive; one that is raises in
+        its next block, so it ends before the next test.
+        """
+        redraw, counts, after = simulation._redraw_ties, [0, 0], [0, 0]
+        stop, done = threading.Event(), threading.Event()
+
+        def hooked(key, lo, words, mode):
+            if done.is_set():
+                raise Boom("the test has ended")
+            r = int(lo >= self.N // 2)
+            after[r] += stop.is_set()
+            counts[r] += 1
+            on_block(r, counts[r] - 1)
+            return redraw(key, lo, words, mode)
+
+        def interrupt(signum, frame):
+            stop.set()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(simulation, "_WORKERS", 2)
+        monkeypatch.setattr(simulation, "_redraw_ties", hooked)
+        before, previous = set(threading.enumerate()), signal.signal(signal.SIGINT, interrupt)
+        try:
+            yield stop, after
+            assert not set(threading.enumerate()) - before, "a helper outlived the call"
+        finally:
+            signal.signal(signal.SIGINT, previous)
+            done.set()
+            for thread in set(threading.enumerate()) - before:
+                thread.join(timeout=10)
+
+    @pytest.mark.parametrize("failing_range", [0, 1])
+    def test_a_failing_range_stops_the_other_within_a_block(self, monkeypatch, failing_range):
+        started = threading.Event()
+
+        def on_block(r, i):
+            if r != failing_range:
+                started.set()
+            elif i == 2:
+                started.wait(timeout=5)  # fail while the other range is counting
+                stop.set()
+                raise Boom(f"range {failing_range}")
+
+        with self.two_ranges(monkeypatch, on_block) as (stop, after):
+            with pytest.raises(Boom, match=f"range {failing_range}"):
+                run_simulation(config(n=self.N))
+            assert after[1 - failing_range] <= 2
+
+    def test_an_interrupt_of_the_caller_stops_the_helper(self, monkeypatch):
+        fired = threading.Event()
+
+        def on_block(r, i):
+            if r == 0 and i == 2:
+                fired.wait(timeout=5)  # the interrupt lands here, in range 0
+
+        timer = threading.Timer(0.05, lambda: (_thread.interrupt_main(), fired.set()))
+        with self.two_ranges(monkeypatch, on_block) as (stop, after):
+            timer.start()
+            try:
+                with pytest.raises(KeyboardInterrupt):
+                    run_simulation(config(n=self.N))
+            finally:
+                timer.join(timeout=10)
+            assert stop.is_set() and after[1] <= 2
+
+    def test_an_interrupt_while_the_caller_waits_stops_the_helper(self, monkeypatch):
+        # interrupt_main wakes no thread blocked on a lock, so the helper sends a real SIGINT
+        # once range 0 has ended and the caller waits for the helper's
+        range_0_done, last = threading.Event(), self.N // 2 // -(-simulation._BLOCK // 2) - 1
+
+        def on_block(r, i):
+            if r == 0 and i == last:
+                range_0_done.set()
+            elif r == 1 and i == 2:
+                range_0_done.wait(timeout=5)
+                time.sleep(0.05)
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        with self.two_ranges(monkeypatch, on_block) as (stop, after):
+            with pytest.raises(KeyboardInterrupt):
+                run_simulation(config(n=self.N))
+            assert stop.is_set() and after[1] <= 2
 
     def test_more_workers_than_cores_under_fast_switching_keep_the_counts(
         self, monkeypatch, report_json
