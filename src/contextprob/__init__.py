@@ -21,10 +21,11 @@ _HOMES = {name: module for module, names in (
     ("core", "BOUNDARY_GUARD MINUS NORMALIZATION_TOL PLUS BinaryDistribution "
              "InterferenceCoefficient Regime TransitionMatrix classical_total_probability "
              "incompatibility_coefficient interference_probability"),
-    ("eprbohm", "DEFAULT_SIGNS AnglePair LhvStrategy SignConvention TimeDistribution chsh "
+    ("eprbohm", "DEFAULT_SIGNS AnglePair SignConvention chsh "
                 "conditional_probabilities epr_bohm_probabilities matrices_from_angles "
                 "reconstruct_via_interference setting_correlation verify_phase_opposition "
                 "verify_selection_phase_flip"),
+    ("_choices", "LhvStrategy TimeDistribution"),
     ("errors", "ContextualProbabilityError InvalidCount InvalidDistribution InvalidMatrix "
                "OutOfRangeProbability PreconditionViolation"),
     ("simulation", "SimConfig SimReport TimeOrderStats lhv_baseline_chsh run_simulation "

@@ -22,11 +22,17 @@ usage or input validation errors, including an ``--out`` or ``--trace`` path
 that cannot be opened, the two naming one file, output (stdout or either
 file) that cannot be written, a closed stdout included, and a ``--trace``
 without an importable orjson, which writes its times. Output files are
-opened before any computation, as a shell redirection would open them.
+opened before any computation, as a shell redirection would open them. An
+interrupt (SIGINT, Ctrl-C) ends the process with one ``interrupted`` line on
+stderr and exit code 130, as a shell reports a command killed by it.
+
+Parsing loads no numpy and no layer: ``--help`` and a usage error exit before
+any of them is imported. A handler imports what it runs on first use.
 """
 
 from __future__ import annotations
 
+import _signal  # signal's C core, loaded with the interpreter; signal itself costs ~1 ms
 import argparse
 import gc
 import io
@@ -38,48 +44,43 @@ from contextlib import ExitStack
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 
-import numpy as np
-
-from .core import (
-    BinaryDistribution,
-    Regime,
-    TransitionMatrix,
-    classical_total_probability,
-    incompatibility_coefficient,
-)
-from .eprbohm import (
-    DEFAULT_SIGNS,
-    AnglePair,
-    LhvStrategy,
-    TimeDistribution,
-    chsh,
-    conditional_probabilities,
-    epr_bohm_probabilities,
-    reconstruct_via_interference,
-    setting_correlation,
-)
+from ._choices import LhvStrategy, TimeDistribution
 from .errors import ContextualProbabilityError
 
 OPTIMAL_SETTINGS = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 
 _SIGN_VALUES = {"+": 1, "+1": 1, "-": -1, "-1": -1}
 
-# The names taken from the layers only some subcommands run, which are imported
-# when a handler first looks one up. The binding made here is the one called, so
-# a test or perfbench/tracing.py can patch it as ``contextprob.cli.run_simulation``.
-_LATE = ("SimConfig", "lhv_baseline_chsh", "run_property_suite", "run_simulation", "simulate_chsh")
+# The names the handlers take from the layers, all of which load numpy. Parsing
+# needs none of them: a handler looks each one up on ``_late``, this module, whose
+# ``__getattr__`` imports its layer and binds it here on first use. The binding
+# made here is the one called, so a test or perfbench/tracing.py can patch it as
+# ``contextprob.cli.run_simulation``.
+_LATE = ("BinaryDistribution", "Regime", "TransitionMatrix", "classical_total_probability",
+         "incompatibility_coefficient",
+         "DEFAULT_SIGNS", "AnglePair", "chsh", "conditional_probabilities",
+         "epr_bohm_probabilities", "reconstruct_via_interference", "setting_correlation",
+         "SimConfig", "lhv_baseline_chsh", "run_simulation", "simulate_chsh",
+         "run_property_suite")
 
 
 def __getattr__(name: str):
     if name not in _LATE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value = getattr(sys.modules[__package__], name)
+    # numpy's C start-up turns an interrupt into an ImportError that hides it, so
+    # SIGINT is held while a layer loads; unblocking raises one that came meanwhile.
+    held = _signal.pthread_sigmask(_signal.SIG_BLOCK, {_signal.SIGINT}) if _MASKS else None
+    try:
+        value = getattr(sys.modules[__package__], name)
+    finally:
+        if held is not None:
+            _signal.pthread_sigmask(_signal.SIG_SETMASK, held)
+    globals()[name] = value
     return value
 
 
-def _late(name: str):
-    # this module's binding of a _LATE name, made on first use
-    return globals()[name] if name in globals() else __getattr__(name)
+_late = sys.modules[__name__]
+_MASKS = hasattr(_signal, "pthread_sigmask")  # not on Windows
 
 
 # ---------------------------------------------------------------- argument types
@@ -125,7 +126,7 @@ def _four_floats(text: str) -> list[float]:
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
-    return int(np.random.SeedSequence().entropy) & ((1 << 64) - 1)
+    return int.from_bytes(os.urandom(8), "little")
 
 
 def _to_radians(value: float, unit: str) -> float:
@@ -138,7 +139,7 @@ def _jsonable(obj):
         obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     elif isinstance(obj, Enum):
         obj = obj.value
-    elif isinstance(obj, np.ndarray):
+    elif hasattr(obj, "tolist"):  # a numpy array or scalar
         obj = obj.tolist()
     if isinstance(obj, dict):
         return {key: _jsonable(value) for key, value in obj.items()}
@@ -173,7 +174,7 @@ def _fmt(value) -> str:
     return "undefined" if value is None else format(value, ".6g")
 
 
-def _matrix_lines(label: str, entries: np.ndarray) -> list[str]:
+def _matrix_lines(label: str, entries) -> list[str]:
     lines = [f"  {label}  (rows: result +,-; columns: condition +,-)"]
     for row in entries:
         lines.append("      " + "  ".join(f"{_fmt(float(v)):>12s}" for v in row))
@@ -201,12 +202,12 @@ class _Output:
 
 
 def _cmd_lambda(args: argparse.Namespace) -> _Output:
-    prior = BinaryDistribution.from_p_plus(args.prior)
+    prior = _late.BinaryDistribution.from_p_plus(args.prior)
     m = args.matrix
-    transition = TransitionMatrix(np.array([[m[0], m[1]], [m[2], m[3]]]))
+    transition = _late.TransitionMatrix([m[:2], m[2:]])
     beta = _SIGN_VALUES[args.beta]
-    classical = classical_total_probability(prior, transition, beta)
-    coeff = incompatibility_coefficient(args.observed, prior, transition, beta)
+    classical = _late.classical_total_probability(prior, transition, beta)
+    coeff = _late.incompatibility_coefficient(args.observed, prior, transition, beta)
 
     inputs = {
         "observed": args.observed,
@@ -224,7 +225,7 @@ def _cmd_lambda(args: argparse.Namespace) -> _Output:
         f"  lambda    : {_fmt(coeff.lam)}",
         f"  regime    : {coeff.regime.value}",
     ]
-    if coeff.regime is Regime.TRIGONOMETRIC:
+    if coeff.regime is _late.Regime.TRIGONOMETRIC:
         lines.append(f"  theta     : {_fmt(coeff.theta)} rad")
     return _Output(inputs, results, None, rows, lines)
 
@@ -233,13 +234,13 @@ def _cmd_lambda(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_epr(args: argparse.Namespace) -> _Output:
-    angles = AnglePair(_to_radians(args.xi, args.unit), _to_radians(args.eta, args.unit))
-    signs = DEFAULT_SIGNS.flipped() if args.flip_signs else DEFAULT_SIGNS
-    marginal = BinaryDistribution.from_p_plus(args.marginal)
-    closed = epr_bohm_probabilities(angles)
-    recon = reconstruct_via_interference(angles, signs)
-    max_diff = float(np.max(np.abs(closed.entries - recon.entries)))
-    corr = setting_correlation(angles.delta, marginal)
+    angles = _late.AnglePair(_to_radians(args.xi, args.unit), _to_radians(args.eta, args.unit))
+    signs = _late.DEFAULT_SIGNS.flipped() if args.flip_signs else _late.DEFAULT_SIGNS
+    marginal = _late.BinaryDistribution.from_p_plus(args.marginal)
+    closed = _late.epr_bohm_probabilities(angles)
+    recon = _late.reconstruct_via_interference(angles, signs)
+    max_diff = float(abs(closed.entries - recon.entries).max())
+    corr = _late.setting_correlation(angles.delta, marginal)
 
     inputs = {
         "xi": angles.xi,
@@ -279,7 +280,7 @@ def _cmd_epr(args: argparse.Namespace) -> _Output:
 
 def _cmd_verify(args: argparse.Namespace) -> _Output:
     seed = _resolve_seed(args.seed)
-    checks = _late("run_property_suite")(args.samples, seed, break_phase_flip=args.break_phase_flip)
+    checks = _late.run_property_suite(args.samples, seed, break_phase_flip=args.break_phase_flip)
     all_passed = all(check.passed for check in checks)
 
     inputs = {"samples": args.samples, "break_phase_flip": args.break_phase_flip}
@@ -302,16 +303,16 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
 
 def _cmd_simulate(args: argparse.Namespace) -> _Output:
     seed = _resolve_seed(args.seed)
-    config = _late("SimConfig")(
-        angles=AnglePair(_to_radians(args.xi, args.unit), _to_radians(args.eta, args.unit)),
-        marginal_c=BinaryDistribution.from_p_plus(args.marginal),
+    config = _late.SimConfig(
+        angles=_late.AnglePair(_to_radians(args.xi, args.unit), _to_radians(args.eta, args.unit)),
+        marginal_c=_late.BinaryDistribution.from_p_plus(args.marginal),
         n_pairs=args.n,
         seed=seed,
         time_distribution=TimeDistribution(args.time_dist),
     )
-    report = _late("run_simulation")(config, trial_log=args.trace)
-    analytic = conditional_probabilities(config.angles.delta)
-    analytic_corr = setting_correlation(config.angles.delta, config.marginal_c)
+    report = _late.run_simulation(config, trial_log=args.trace)
+    analytic = _late.conditional_probabilities(config.angles.delta)
+    analytic_corr = _late.setting_correlation(config.angles.delta, config.marginal_c)
 
     results = {**_jsonable(report), "analytic_conditionals": analytic,
                "analytic_correlation": analytic_corr}
@@ -350,13 +351,13 @@ def _cmd_chsh(args: argparse.Namespace) -> _Output:
     else:
         a, a_prime, b, b_prime = (_to_radians(v, args.unit) for v in args.settings)
     seed = _resolve_seed(args.seed)
-    marginal = BinaryDistribution.from_p_plus(args.marginal)
-    s_estimate = _late("simulate_chsh")(a, a_prime, b, b_prime, marginal, args.n, seed)
-    s_analytic = chsh(a, a_prime, b, b_prime, marginal)
+    marginal = _late.BinaryDistribution.from_p_plus(args.marginal)
+    s_estimate = _late.simulate_chsh(a, a_prime, b, b_prime, marginal, args.n, seed)
+    s_analytic = _late.chsh(a, a_prime, b, b_prime, marginal)
     baseline = None
     if args.baseline:
         strategy = LhvStrategy(args.baseline)
-        baseline_s = _late("lhv_baseline_chsh")(a, a_prime, b, b_prime, strategy, args.n, seed)
+        baseline_s = _late.lhv_baseline_chsh(a, a_prime, b, b_prime, strategy, args.n, seed)
         baseline = {
             "strategy": strategy.value,
             "s_estimate": baseline_s,
@@ -544,8 +545,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     """Run ``main`` as the whole process: freeze the heap, so exit's collections skip
-    what dies with the process, then exit with its status. ``main`` freezes nothing."""
-    status = main()
+    what dies with the process, then exit with its status. ``main`` freezes nothing.
+    An interrupt (SIGINT) ends the process with one line and status 130."""
+    try:
+        status = main()
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        status = 130
     gc.freeze()
     sys.exit(status)
 

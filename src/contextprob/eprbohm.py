@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+# The simulation's two enums are defined in :mod:`contextprob._choices`, which the
+# CLI parser loads without numpy; they stay importable from here too.
+from ._choices import LhvStrategy, TimeDistribution  # noqa: F401
 from .core import (
     NORMALIZATION_TOL,
     BinaryDistribution,
@@ -48,22 +50,6 @@ _HALF_PI = math.pi / 2.0
 # The four-setting combination E(a,b) - E(a,b') + E(a',b) + E(a',b'), one term
 # per setting pair: the indices of its two settings in (a, a', b, b') and its sign.
 CHSH_TERMS = (((0, 2), 1.0), ((0, 3), -1.0), ((1, 2), 1.0), ((1, 3), 1.0))
-
-
-# The simulation's two enums live here, where every subcommand loads them: the
-# CLI parser lists their values without importing :mod:`contextprob.simulation`.
-class TimeDistribution(Enum):
-    """How the two per-trial event times are produced."""
-
-    UNIFORM_SQUARE = "uniform-square"  # (t1, t2) uniform on the unit square, ordered
-    FIXED_ORDER = "fixed-order"  # selection at 0, measurement at 1
-
-
-class LhvStrategy(Enum):
-    """Local hidden-variable baselines for the four-setting scan."""
-
-    DETERMINISTIC_SIGN = "deterministic-sign"
-    RANDOM_LOCAL = "random-local"
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 
 Every error raised on purpose derives from :class:`ContextualProbabilityError`
 so callers can catch one type at an API boundary and map it to a diagnostic.
+The module imports no numpy: the CLI loads it before it parses its arguments.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import numbers
 
 
 class ContextualProbabilityError(ValueError):
@@ -37,14 +38,15 @@ class InvalidCount(ContextualProbabilityError):
 def require_count(n: int, name: str) -> int:
     """``n`` as an int, or :class:`InvalidCount` unless ``1 <= n < 2**63``."""
     # 2**63 keeps trial counters below the redraw base 2**64 and totals in int64.
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n < 1 << 63:
+    # numpy registers its integer types, not np.bool_, as numbers.Integral
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or not 1 <= n < 1 << 63:
         raise InvalidCount(f"{name} must be a positive integer, got {n!r}")
     return int(n)
 
 
 def require_seed(seed: int) -> int:
     """``seed`` as an int, or :class:`PreconditionViolation` unless ``0 <= seed < 2**64``."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
         raise PreconditionViolation(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 1 << 64:
         raise PreconditionViolation(f"seed must satisfy 0 <= seed < 2**64, got {seed}")

@@ -65,6 +65,15 @@ print(json.dumps([before, simulation.__name__, after, unresolved]))
     assert "contextprob.simulation" in after and "contextprob.verification" not in after
 
 
+@pytest.mark.parametrize("name", ["LhvStrategy", "TimeDistribution"])
+def test_an_enum_the_parser_lists_is_one_object_under_every_name(name):
+    # defined in the numpy-free _choices, and imported from there by every layer
+    from contextprob import _choices, cli, eprbohm, simulation
+
+    homes = [getattr(module, name) for module in (contextprob, cli, eprbohm, simulation)]
+    assert all(home is getattr(_choices, name) for home in homes)
+
+
 def test_dir_covers_all_without_loading_a_layer(run_python):
     code = ("import contextprob\n"
             "names = dir(contextprob)\n"

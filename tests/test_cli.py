@@ -7,8 +7,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -750,42 +752,91 @@ def as_main(run_python, shown: str, *argv) -> tuple[int, str]:
     return child.returncode, child.stdout.splitlines()[-1]
 
 
-def layers_imported(run_python, *argv) -> set[str]:
-    """The layers of the simulation and the sweep that the CLI imports, run as by ``-m``."""
-    shown = "*sorted(m for m in sys.modules if m.startswith('contextprob.'))"
+def modules_loaded(run_python, *argv) -> tuple[int, set[str]]:
+    """The exit code, and the package modules and numpy the CLI loaded, run as by ``-m``."""
+    shown = "*sorted(m for m in sys.modules if m.startswith('contextprob.') or m == 'numpy')"
     code, text = as_main(run_python, shown, *argv)
-    assert code == 0
-    return set(text.split()) & {"contextprob.simulation", "contextprob.verification"}
+    return code, set(text.split())
+
+
+# What parsing loads, --help and usage errors included: no layer and no numpy.
+PARSING = {"contextprob._choices", "contextprob.errors"}
+HANDLING = {*PARSING, "numpy", "contextprob.core"}
+EPRBOHM = {*HANDLING, "contextprob.eprbohm"}
 
 
 class TestStartUp:
-    @pytest.mark.parametrize("argv, layers", [
-        (VERIFY, {"contextprob.verification"}),
-        (SIMULATE, {"contextprob.simulation"}),
-        (CHSH, {"contextprob.simulation"}),
-        (LAMBDA_TRIG, set()),
-        (EPR, set()),
+    @pytest.mark.parametrize("argv, loaded", [
+        (VERIFY, {*EPRBOHM, "contextprob.verification"}),
+        (SIMULATE, {*EPRBOHM, "contextprob.simulation"}),
+        (CHSH, {*EPRBOHM, "contextprob.simulation"}),
+        (LAMBDA_TRIG, HANDLING),
+        (EPR, EPRBOHM),
     ], ids=["verify", "simulate", "chsh", "lambda", "epr"])
-    def test_a_subcommand_imports_only_the_layers_it_runs(self, run_python, argv, layers):
-        assert layers_imported(run_python, *argv) == layers
+    def test_a_subcommand_imports_only_the_layers_it_runs(self, run_python, argv, loaded):
+        assert modules_loaded(run_python, *argv) == (0, loaded)
+
+    @pytest.mark.parametrize("argv, status", [
+        (["--help"], 0),
+        (["simulate", "--help"], 0),
+        (["chsh", "--help"], 0),
+        ([], 2),
+        ([*SIMULATE[:5], "--n", "0"], 2),
+        ([*CHSH, "--baseline", "coin"], 2),
+        (["verify", "--seed", "-1"], 2),
+    ], ids=["help", "simulate-help", "chsh-help", "no-command", "bad-count", "bad-choice",
+            "bad-seed"])
+    def test_parsing_loads_no_layer_and_no_numpy(self, run_python, argv, status):
+        assert modules_loaded(run_python, *argv) == (status, PARSING)
+
+    def test_building_the_parser_loads_no_layer_and_no_numpy(self, run_python):
+        code = ("import sys; import contextprob.cli as cli; cli.build_parser()\n"
+                "print(*sorted(m for m in sys.modules if m.startswith('contextprob.') "
+                "or m == 'numpy'))")
+        child = run_python("-c", code)
+        assert set(child.stdout.split()) == {*PARSING, "contextprob.cli"}, child.stderr
 
     def test_a_late_name_is_bound_in_the_cli_on_first_use(self, run_python):
         # where tests and perfbench/tracing.py patch it, and where main calls it
-        code = ("import json, sys; import contextprob.cli as cli, contextprob.simulation as sim\n"
+        code = ("import json, sys; import contextprob, contextprob.cli as cli\n"
                 "before = sorted(set(cli._LATE) & set(vars(cli)))\n"
+                "numpy_before = 'numpy' in sys.modules\n"
                 "cli.main(sys.argv[1:])\n"
                 "after = sorted(set(cli._LATE) & set(vars(cli)))\n"
-                "print(json.dumps([before, after, cli.run_simulation is sim.run_simulation]))")
+                "same = all(getattr(cli, name) is getattr(contextprob, name) for name in after)\n"
+                "print(json.dumps([before, numpy_before, after, same]))")
         child = run_python("-c", code, *SIMULATE)
         assert child.returncode == 0, child.stderr
-        before, after, same = json.loads(child.stdout.splitlines()[-1])
-        assert (before, after, same) == ([], ["SimConfig", "run_simulation"], True)
+        before, numpy_before, after, same = json.loads(child.stdout.splitlines()[-1])
+        assert (before, numpy_before, same) == ([], False, True)
+        assert after == ["AnglePair", "BinaryDistribution", "SimConfig",
+                         "conditional_probabilities", "run_simulation", "setting_correlation"]
+
+    def test_a_handler_calls_the_binding_in_the_cli(self, capsys, monkeypatch):
+        # a patch of contextprob.cli.<name>, as perfbench/tracing.py makes, sees every call
+        calls, original = [], cli.conditional_probabilities
+        monkeypatch.setattr(cli, "conditional_probabilities",
+                            lambda delta: calls.append(delta) or original(delta))
+        assert run(capsys, *SIMULATE)[0] == 0
+        assert calls == [AnglePair(float(SIMULATE[2]), float(SIMULATE[4])).delta]
 
     @pytest.mark.parametrize("name", ["time_order_statistics", "PLUS", "simulation"])
     def test_only_the_late_names_resolve_on_first_use(self, name):
         with pytest.raises(AttributeError, match=f"module 'contextprob.cli' has no attribute "
                                                  f"'{name}'"):
             getattr(cli, name)
+
+    def test_the_json_converter_needs_no_numpy(self, run_python):
+        code = ("import dataclasses, json, sys; import contextprob.cli as cli\n"
+                "from contextprob import TimeDistribution\n"
+                "Row = dataclasses.make_dataclass('Row', ['x', 'mode'])\n"
+                "row = Row(float('nan'), TimeDistribution.FIXED_ORDER)\n"
+                "value = cli._jsonable({'rows': (row, [1.5, None]), 'n': 3})\n"
+                "print(json.dumps([value, 'numpy' in sys.modules]))")
+        child = run_python("-c", code)
+        assert json.loads(child.stdout) == [
+            {"rows": [{"x": None, "mode": "fixed-order"}, [1.5, None]], "n": 3}, False
+        ], child.stderr
 
 
 class TestProcessEntry:
@@ -799,6 +850,36 @@ class TestProcessEntry:
     def test_the_process_freezes_its_heap_before_it_exits(self, run_python, argv, status):
         code, frozen = as_main(run_python, "gc.get_freeze_count()", *argv)
         assert (code, int(frozen) > 0) == (status, True)
+
+    @pytest.mark.parametrize("argv, started", [
+        # trace lines are written only while trials are counted
+        ([*SIMULATE[:5], "--n", "3000000", "--seed", "1", "--trace"],
+         lambda path: path.exists() and path.stat().st_size > 0),
+        # --out is opened before numpy loads: the signal lands in the import or the scan
+        (["chsh", "--optimal", "--n", "100000000", "--seed", "1", "--out"], Path.exists),
+    ], ids=["simulate-trace", "chsh"])
+    def test_an_interrupt_ends_the_process_with_one_line_and_status_130(
+            self, tmp_path, argv, started):
+        path = tmp_path / "file"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+        # as -m runs it, with SIGINT's default handler even where this run was started with
+        # SIGINT ignored (a background job), which a child would otherwise inherit
+        code = ("import runpy, signal; signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                "runpy.run_module('contextprob.cli', run_name='__main__', alter_sys=True)")
+        child = subprocess.Popen([sys.executable, "-B", "-c", code, *argv, str(path)],
+                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 text=True)
+        try:
+            deadline = time.monotonic() + 30.0
+            while not started(path):
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            child.send_signal(signal.SIGINT)
+            out, err = child.communicate(timeout=30)
+        finally:
+            child.kill()
+            child.wait()
+        assert (child.returncode, out, err) == (130, "", "interrupted\n")
 
     def test_main_in_process_freezes_nothing(self, capsys):
         before = gc.get_freeze_count()

@@ -89,6 +89,23 @@ def test_a_test_process_that_ends_before_its_session_kills_the_mutant(tmp_path):
     assert mutate._run_tests(tmp_path, ["test_exit.py"], 60.0)[0] == "killed"
 
 
+def test_a_killed_mutant_names_the_first_test_that_failed(tmp_path):
+    # so that a kill by an unrelated, flaky test shows in the audit's JSON line
+    (tmp_path / "test_some.py").write_text(
+        "import pytest\n\n\ndef test_passes():\n    pass\n\n\n"
+        "@pytest.mark.parametrize('x', [1, 2])\ndef test_fails(x):\n    assert x == 1\n"
+    )
+    (tmp_path / "test_exit.py").write_text("import os\n\n\ndef test_exit():\n    os._exit(3)\n")
+    report = tmp_path / mutate.REPORT
+    assert mutate._run_tests(tmp_path, ["test_some.py"], 60.0)[0] == "killed"
+    assert mutate.first_failure(report) == "test_some.test_fails[2]"
+    # a run that wrote no report names no test, rather than the last run's
+    assert mutate._run_tests(tmp_path, ["test_exit.py"], 60.0)[0] == "killed"
+    assert mutate.first_failure(report) is None
+    report.write_text("<testsuites><testsuite><testcase classname='t' name='cut")
+    assert mutate.first_failure(report) is None
+
+
 def test_a_mutant_may_run_a_few_times_the_unmutated_tests_and_at_least_the_floor(tmp_path):
     assert mutate.mutant_timeout(24.0) == 5.0 * 24.0
     assert mutate.mutant_timeout(1.0) == mutate.mutant_timeout(0.0) == 60.0

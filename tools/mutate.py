@@ -13,9 +13,10 @@ unmutated run, and at least 60 s, in a session of their own whose every
 process is killed when the run ends. One JSON line
 per mutant goes to stdout: its file, line, kind, the code it changed, and
 whether it was killed (a test failed, or the test process ended before its
-session did), survived (every test passed), equivalent (it survived, and
-``tools/equivalent_mutants.json`` argues that no input can tell it from the
-code) or timed out. A summary per file goes to stderr at the end. An audit
+session did; ``killed_by`` names the first failed test in the run's
+``--junit-xml`` report, or is null when the run wrote none), survived (every
+test passed), equivalent (it survived, and ``tools/equivalent_mutants.json``
+argues that no input can tell it from the code) or timed out. A summary per file goes to stderr at the end. An audit
 ended by SIGTERM removes its temporary copy, as it does on any exit.
 
 The score is a trajectory, not a gate: a surviving mutant marks either a
@@ -43,6 +44,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parent.parent
 SPELLING = {
@@ -60,6 +62,7 @@ TIMEOUT_FACTOR, TIMEOUT_FLOOR = 5.0, 60.0
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.pyc",
                                  ".perfbench", ".benchmarks")
 EQUIVALENTS = ROOT / "tools" / "equivalent_mutants.json"
+REPORT = ".mutate-report.xml"  # the junit-xml report of a test run, in the copy
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def _run_tests(copy: Path, tests: list[str], timeout: float) -> tuple[str, float
     # A run passes only if pytest also finished its session, which writes the
     # report: a mutant can end the test process early with status 0 (an
     # os._exit meant for a forked child, say).
-    report = copy / ".mutate-report.xml"
+    report = copy / REPORT
     report.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
     command = [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -170,6 +173,18 @@ def _run_tests(copy: Path, tests: list[str], timeout: float) -> tuple[str, float
     return ("survived" if returncode == 0 and report.exists() else "killed"), seconds
 
 
+def first_failure(report: Path) -> str | None:
+    """The id of the first test that failed or errored in a junit-xml report, if any."""
+    try:
+        cases = ElementTree.parse(report).iter("testcase")
+    except (OSError, ElementTree.ParseError):  # no report, or a run cut short writing it
+        return None
+    for case in cases:
+        if case.find("failure") is not None or case.find("error") is not None:
+            return f"{case.get('classname')}.{case.get('name')}"
+    return None
+
+
 def _exit(signum, frame):
     # SIGTERM ends the audit as an exception would, so the temporary copy is removed
     raise SystemExit(128 + signum)
@@ -187,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT, copy, ignore=IGNORED)
         status, seconds = _run_tests(copy, args.tests, TIMEOUT)
         if status != "survived":
-            print(f"the unmutated tests did not pass ({status}, {seconds:.1f} s)", file=sys.stderr)
+            print(f"the unmutated tests did not pass ({status}, {seconds:.1f} s, first failed: "
+                  f"{first_failure(copy / REPORT)})", file=sys.stderr)
             return 2
         limit = mutant_timeout(seconds)
         for name in args.files:
@@ -210,6 +226,8 @@ def main(argv: list[str] | None = None) -> int:
                     record = {"file": name, "line": mutant.line, "kind": mutant.kind,
                               "before": mutant.before, "after": mutant.after,
                               "status": status, "seconds": round(seconds, 1)}
+                    if status == "killed":  # a kill by an unrelated, flaky test shows here
+                        record["killed_by"] = first_failure(copy / REPORT)
                     print(json.dumps(record), flush=True)
             finally:
                 target.write_bytes(original)
