@@ -27,7 +27,8 @@ interrupt (SIGINT, Ctrl-C) ends the process with one ``interrupted`` line on
 stderr and exit code 130, as a shell reports a command killed by it.
 
 Parsing loads no numpy and no layer: ``--help`` and a usage error exit before
-any of them is imported. A handler imports what it runs on first use.
+any of them is imported. A handler imports what it runs on first use, and
+``dataclasses`` and ``json`` load only when a report is rendered.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ import _signal  # signal's C core, loaded with the interpreter; signal itself co
 import argparse
 import gc
 import io
-import json
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import ExitStack
-from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 
 from ._choices import LhvStrategy, TimeDistribution
@@ -134,7 +134,10 @@ def _to_radians(value: float, unit: str) -> float:
 
 
 def _jsonable(obj):
-    # a dataclass by its fields, in declaration order; NaN and inf become null
+    # a dataclass by its fields, in declaration order; NaN and inf become null. Only a
+    # handler's values meet it, and their layer has already loaded dataclasses.
+    from dataclasses import fields, is_dataclass
+
     if is_dataclass(obj):
         obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     elif isinstance(obj, Enum):
@@ -151,6 +154,8 @@ def _jsonable(obj):
 
 
 def _json_text(command: str, inputs: dict, results: dict, seed: int | None) -> str:
+    import json  # here, not at module top: only JSON output needs it
+
     envelope = {
         "command": command,
         "inputs": _jsonable(inputs),
@@ -181,21 +186,10 @@ def _matrix_lines(label: str, entries) -> list[str]:
     return lines
 
 
-@dataclass(frozen=True)
-class _Output:
-    """One command's values, ready for each format; ``main`` renders one.
-
-    ``rows`` are the CSV rows, header first. ``seed`` is None for commands that
-    draw nothing at random. ``status`` is the exit code: 1 when a verified
-    property failed, 0 otherwise.
-    """
-
-    inputs: dict
-    results: dict
-    seed: int | None
-    rows: list[list]
-    lines: list[str]
-    status: int = 0
+# One command's values, ready for each format; ``main`` renders one. ``rows`` are
+# the CSV rows, header first. ``seed`` is None for commands that draw nothing at
+# random. ``status`` is the exit code: 1 when a verified property failed, 0 otherwise.
+_Output = namedtuple("_Output", "inputs results seed rows lines status", defaults=(0,))
 
 
 # ---------------------------------------------------------------- lambda command

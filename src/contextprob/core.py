@@ -31,6 +31,7 @@ from .errors import (
     InvalidMatrix,
     OutOfRangeProbability,
     PreconditionViolation,
+    _convert,
 )
 
 PLUS = 1
@@ -68,8 +69,10 @@ class BinaryDistribution:
     p_minus: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_plus", float(self.p_plus))
-        object.__setattr__(self, "p_minus", float(self.p_minus))
+        for name in ("p_plus", "p_minus"):
+            value = _convert(float, getattr(self, name), InvalidDistribution,
+                             "weights must be real numbers")
+            object.__setattr__(self, name, value)
         if not (math.isfinite(self.p_plus) and math.isfinite(self.p_minus)):
             raise InvalidDistribution("weights must be finite")
         if self.p_plus < 0.0 or self.p_minus < 0.0:
@@ -89,7 +92,7 @@ class BinaryDistribution:
     @classmethod
     def from_p_plus(cls, p_plus: float) -> "BinaryDistribution":
         """Build from the + weight alone; the - weight is its complement."""
-        p_plus = float(p_plus)
+        p_plus = _convert(float, p_plus, InvalidDistribution, "p_plus must be a real number")
         if not 0.0 <= p_plus <= 1.0:
             raise InvalidDistribution(f"p_plus must lie in [0, 1], got {p_plus}")
         return cls(p_plus, 1.0 - p_plus)
@@ -113,7 +116,8 @@ class TransitionMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float, copy=True)
+        arr = _convert(lambda entries: np.array(entries, dtype=float, copy=True),
+                       self.entries, InvalidMatrix, "entries must be real numbers")
         if arr.shape != (2, 2):
             raise InvalidMatrix(f"expected a 2x2 matrix, got shape {arr.shape}")
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
@@ -165,7 +169,9 @@ class InterferenceCoefficient:
     theta: float | None = field(init=False)
 
     def __post_init__(self) -> None:
-        lam = None if self.lam is None or math.isnan(self.lam) else self.lam
+        nan = self.lam is None or _convert(math.isnan, self.lam, PreconditionViolation,
+                                           "lam must be a real number or None")
+        lam = None if nan else self.lam
         if lam is None:
             regime, theta = Regime.DEGENERATE_DENOMINATOR, None
         elif abs(lam) <= 1.0:

@@ -43,7 +43,7 @@ from .core import (
     interference_values,
     row_sum_residuals,
 )
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, _convert
 
 _HALF_PI = math.pi / 2.0
 
@@ -66,13 +66,14 @@ class AnglePair:
     eta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "xi", float(self.xi))
-        object.__setattr__(self, "eta", float(self.eta))
-        for name, value in (("xi", self.xi), ("eta", self.eta)):
+        for name in ("xi", "eta"):
+            value = _convert(float, getattr(self, name), PreconditionViolation,
+                             f"{name} must be a real number")
             if not 0.0 < value < _HALF_PI:
                 raise PreconditionViolation(
                     f"{name} must lie strictly inside (0, pi/2), got {value}"
                 )
+            object.__setattr__(self, name, value)
 
     @property
     def delta(self) -> float:
@@ -106,7 +107,8 @@ class SignConvention:
 
 def _unit_cosines(*cosines) -> tuple[float, ...]:
     # The phase cosines as floats, each exactly +1.0 or -1.0.
-    cosines = tuple(float(value) for value in cosines)
+    cosines = tuple(_convert(float, value, PreconditionViolation,
+                             "phase cosines must be real numbers") for value in cosines)
     for value in cosines:
         if value not in (1.0, -1.0):
             raise PreconditionViolation(f"phase cosines must be +1.0 or -1.0, got {value}")

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by the whole package, and its count and seed checks.
+"""Exception hierarchy shared by the whole package, its count and seed checks, and
+the conversion that types the errors of a value object's constructor.
 
 Every error raised on purpose derives from :class:`ContextualProbabilityError`
 so callers can catch one type at an API boundary and map it to a diagnostic.
@@ -51,3 +52,12 @@ def require_seed(seed: int) -> int:
     if not 0 <= seed < 1 << 64:
         raise PreconditionViolation(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
     return int(seed)
+
+
+def _convert(convert, value, error: type[ContextualProbabilityError], what: str):
+    """``convert(value)``, or ``error`` with ``what`` and the reason where it raises the
+    TypeError, ValueError or OverflowError of a value that is no real number."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what}: {exc}") from exc

@@ -350,13 +350,18 @@ def run_simulation(config: SimConfig, *, trial_log: IO[str] | None = None) -> Si
         Optional text stream receiving one JSON object per trial
         (``t_selection``, ``t_measurement``, ``gamma``, ``beta``), in trial
         order. Without an importable orjson, which writes the times, a
-        ``ContextualProbabilityError`` is raised before any line is written.
+        ``ContextualProbabilityError`` is raised before any line is written,
+        and a ``PreconditionViolation`` without a callable ``write`` before any
+        trial is drawn.
 
     Returns
     -------
     SimReport
     """
     key = _config_key(config)
+    if trial_log is not None and not callable(getattr(trial_log, "write", None)):
+        raise PreconditionViolation(
+            f"trial_log must be a text stream, got {type(trial_log).__name__}")
     cond = conditional_probabilities(config.angles.delta)
     counts, n_redraws = _simulate_counts(
         cond,

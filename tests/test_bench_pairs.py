@@ -1,4 +1,5 @@
-"""The pair runner of the benchmark, ``tools/bench_pairs.py``, with a fake perfbench."""
+"""The pair runner of the benchmark, ``tools/bench_pairs.py``, with a fake perfbench, and
+its trajectory reader, ``tools/bench_table.py``."""
 
 import importlib.util
 import json
@@ -13,6 +14,11 @@ _spec = importlib.util.spec_from_file_location(
 )
 bench_pairs = sys.modules["bench_pairs"] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
+_spec = importlib.util.spec_from_file_location(
+    "bench_table", Path(__file__).resolve().parents[1] / "tools" / "bench_table.py"
+)
+bench_table = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_table)
 
 DECLARED = [{"name": "wall_ref", "better": "lower"}, {"name": "items_per_s", "better": "higher"}]
 
@@ -178,3 +184,29 @@ def test_the_working_tree_side_sees_uncommitted_edits_and_leaves_the_repository_
                           check=True).stdout.strip()
     assert commits["change_revision"] == "worktree"
     assert commits["trees"]["change"] == tree != commits["trees"]["parent"]
+
+
+def test_the_table_prints_each_schema_file_and_names_each_file_it_skips(tmp_path, capsys):
+    runs = [r for i, (p, c) in enumerate([(1.0, 0.5), (2.0, 2.5), (3.0, 1.5)])
+            for r in (run(i, "parent", wall_ref=p, items_per_s=p),
+                      run(i, "change", wall_ref=c, items_per_s=c))]
+    runs.append(run(3, "parent", wall_ref=0.1))  # no change side: not a pair
+    result = {"schema": bench_pairs.SCHEMA, "what": "a change",
+              "workloads": {"verify": {"pairs": 4, "runs": runs,
+                                       "metrics": bench_pairs.summarize(runs, DECLARED)}}}
+    paths = [tmp_path / name for name in ("BENCH_6.json", "BENCH_22.json", "BENCH_x.json")]
+    paths[0].write_text(json.dumps({"verify": {"wall_ref": 0.5}}))  # assembled by hand
+    paths[1].write_text(json.dumps(result))
+    paths[2].write_text("{")
+    assert bench_table.main([str(path) for path in [*paths, tmp_path / "BENCH_0.json"]]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        f"{paths[0]}: skipped, not bench_pairs/1",
+        f"{paths[1]}: a change",
+        "  verify wall_ref: 2 -> 1.5 [parent IQR 1], change won 2 of 3",
+        "  verify items_per_s: 2 -> 1.5 [parent IQR 1], change won 1 of 3",
+    ]
+    assert lines[4].startswith(f"{paths[2]}: skipped, Expecting property name")
+    assert lines[5].startswith(f"{tmp_path / 'BENCH_0.json'}: skipped, [Errno 2]")
+    assert len(lines) == 6
+    assert bench_table.SCHEMA == bench_pairs.SCHEMA

@@ -761,6 +761,20 @@ def modules_loaded(run_python, *argv) -> tuple[int, set[str]]:
 
 # What parsing loads, --help and usage errors included: no layer and no numpy.
 PARSING = {"contextprob._choices", "contextprob.errors"}
+# The standard library a rendered report needs, which parsing does not load.
+RENDERING = ("dataclasses", "inspect", "json")
+# Every path that ends in parsing: argv and exit code.
+PARSE_ONLY = [
+    (["--help"], 0),
+    (["simulate", "--help"], 0),
+    (["chsh", "--help"], 0),
+    ([], 2),
+    ([*SIMULATE[:5], "--n", "0"], 2),
+    ([*CHSH, "--baseline", "coin"], 2),
+    (["verify", "--seed", "-1"], 2),
+]
+PARSE_ONLY_IDS = ["help", "simulate-help", "chsh-help", "no-command", "bad-count", "bad-choice",
+                  "bad-seed"]
 HANDLING = {*PARSING, "numpy", "contextprob.core"}
 EPRBOHM = {*HANDLING, "contextprob.eprbohm"}
 
@@ -776,18 +790,20 @@ class TestStartUp:
     def test_a_subcommand_imports_only_the_layers_it_runs(self, run_python, argv, loaded):
         assert modules_loaded(run_python, *argv) == (0, loaded)
 
-    @pytest.mark.parametrize("argv, status", [
-        (["--help"], 0),
-        (["simulate", "--help"], 0),
-        (["chsh", "--help"], 0),
-        ([], 2),
-        ([*SIMULATE[:5], "--n", "0"], 2),
-        ([*CHSH, "--baseline", "coin"], 2),
-        (["verify", "--seed", "-1"], 2),
-    ], ids=["help", "simulate-help", "chsh-help", "no-command", "bad-count", "bad-choice",
-            "bad-seed"])
+    @pytest.mark.parametrize("argv, status", PARSE_ONLY, ids=PARSE_ONLY_IDS)
     def test_parsing_loads_no_layer_and_no_numpy(self, run_python, argv, status):
         assert modules_loaded(run_python, *argv) == (status, PARSING)
+
+    @pytest.mark.parametrize("argv, status", [(None, None), *PARSE_ONLY],
+                             ids=["build-parser", *PARSE_ONLY_IDS])
+    def test_parsing_loads_no_dataclasses_inspect_or_json(self, run_python, argv, status):
+        shown = f"*sorted(m for m in {RENDERING!r} if m in sys.modules)"
+        if argv is None:  # the parse stage alone, as perfbench's set-up runs it
+            child = run_python("-c", "import sys; import contextprob.cli as cli; "
+                                     f"cli.build_parser(); print({shown})")
+            assert (child.returncode, child.stdout) == (0, "\n"), child.stderr
+        else:
+            assert as_main(run_python, shown, *argv) == (status, "")
 
     def test_building_the_parser_loads_no_layer_and_no_numpy(self, run_python):
         code = ("import sys; import contextprob.cli as cli; cli.build_parser()\n"

@@ -11,6 +11,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -282,6 +283,18 @@ class TestRunSimulation:
         )
         child = run_python("-c", script, str(tmp_path))
         assert child.returncode == 0, child.stderr
+
+    @pytest.mark.parametrize("log, kind", [
+        (1, "int"), ("trace.jsonl", "str"), (object(), "object"),
+        (SimpleNamespace(write="text"), "SimpleNamespace"),
+    ], ids=["int", "path", "object", "uncallable-write"])
+    def test_a_trial_log_without_a_write_raises_before_any_block_is_drawn(
+            self, monkeypatch, log, kind):
+        drawn = []
+        monkeypatch.setattr(simulation, "_stream", lambda *args: drawn.append(args))
+        with pytest.raises(PreconditionViolation) as info:
+            run_simulation(config(n=100), trial_log=log)
+        assert (str(info.value), drawn) == (f"trial_log must be a text stream, got {kind}", [])
 
 
 class TestSimReport:
