@@ -51,21 +51,13 @@ OPTIMAL_SETTINGS = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 
 _SIGN_VALUES = {"+": 1, "+1": 1, "-": -1, "-1": -1}
 
-# The names the handlers take from the layers, all of which load numpy. Parsing
-# needs none of them: a handler looks each one up on ``_late``, this module, whose
-# ``__getattr__`` imports its layer and binds it here on first use. The binding
-# made here is the one called, so a test or perfbench/tracing.py can patch it as
-# ``contextprob.cli.run_simulation``.
-_LATE = ("BinaryDistribution", "Regime", "TransitionMatrix", "classical_total_probability",
-         "incompatibility_coefficient",
-         "DEFAULT_SIGNS", "AnglePair", "chsh", "conditional_probabilities",
-         "epr_bohm_probabilities", "reconstruct_via_interference", "setting_correlation",
-         "SimConfig", "lhv_baseline_chsh", "run_simulation", "simulate_chsh",
-         "run_property_suite")
-
-
+# Parsing needs no layer, and every layer loads numpy. A handler looks up each name
+# it takes from a layer on ``_late``, this module, whose ``__getattr__`` looks up any
+# name the package exports, imports its layer and binds it here on first use. The
+# binding made here is the one called, so a test or perfbench/tracing.py can patch
+# it as ``contextprob.cli.run_simulation``.
 def __getattr__(name: str):
-    if name not in _LATE:
+    if name not in sys.modules[__package__].__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # numpy's C start-up turns an interrupt into an ImportError that hides it, so
     # SIGINT is held while a layer loads; unblocking raises one that came meanwhile.

@@ -32,6 +32,8 @@ from .errors import (
     OutOfRangeProbability,
     PreconditionViolation,
     _convert,
+    _shown,
+    require_instance,
 )
 
 PLUS = 1
@@ -54,7 +56,7 @@ def _outcome_index(outcome: int) -> int:
         return 0
     if outcome == MINUS:
         return 1
-    raise PreconditionViolation(f"outcome must be +1 or -1, got {outcome!r}")
+    raise PreconditionViolation(f"outcome must be +1 or -1, got {_shown(outcome)}")
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,8 @@ def _four_factors(
     prior: BinaryDistribution, transition: TransitionMatrix, beta: int
 ) -> tuple[float, float, float, float]:
     # The four path weights, in the order the kernels take them.
+    require_instance(prior, BinaryDistribution, "prior")
+    require_instance(transition, TransitionMatrix, "transition")
     return (
         prior.p_plus,
         transition.prob(beta, PLUS),
@@ -295,9 +299,10 @@ def incompatibility_coefficient(
     OutOfRangeProbability
         If ``observed`` is outside [0, 1].
     """
-    return InterferenceCoefficient(
-        float(coefficient_values(observed, *_four_factors(prior, transition, beta)))
-    )
+    factors = _four_factors(prior, transition, beta)
+    return InterferenceCoefficient(_convert(
+        lambda value: float(coefficient_values(value, *factors)), observed,
+        PreconditionViolation, "observed must be a real number"))
 
 
 def interference_values(p_plus, t_plus, p_minus, t_minus, theta) -> np.ndarray:
@@ -364,4 +369,6 @@ def interference_probability(
         boundary, which absorbs last-bit rounding of legitimately extremal
         configurations.
     """
-    return float(interference_values(*_four_factors(prior, transition, beta), float(theta)))
+    factors = _four_factors(prior, transition, beta)
+    theta = _convert(float, theta, PreconditionViolation, "theta must be a real number")
+    return float(interference_values(*factors, theta))

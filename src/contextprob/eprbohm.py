@@ -33,9 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The simulation's two enums are defined in :mod:`contextprob._choices`, which the
-# CLI parser loads without numpy; they stay importable from here too.
-from ._choices import LhvStrategy, TimeDistribution  # noqa: F401
 from .core import (
     NORMALIZATION_TOL,
     BinaryDistribution,
@@ -43,7 +40,7 @@ from .core import (
     interference_values,
     row_sum_residuals,
 )
-from .errors import PreconditionViolation, _convert
+from .errors import PreconditionViolation, _convert, require_instance
 
 _HALF_PI = math.pi / 2.0
 
@@ -150,6 +147,7 @@ def matrices_from_angles(angles: AnglePair) -> tuple[TransitionMatrix, Transitio
     outcome, with ``p_ba(+|+) = sin^2(eta)``. Both are doubly stochastic and,
     for angles inside the open interval, strictly positive.
     """
+    require_instance(angles, AnglePair, "angles", "an")
     p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
     return TransitionMatrix(p_ac), TransitionMatrix(p_ba)
 
@@ -164,7 +162,8 @@ def conditional_probabilities(delta) -> np.ndarray:
     :class:`PreconditionViolation`. An array of differences gives a stack of
     matrices, shape ``delta.shape + (2, 2)``.
     """
-    delta = np.asarray(delta, dtype=float)
+    delta = _convert(lambda value: np.asarray(value, dtype=float), delta,
+                     PreconditionViolation, "angle difference must be a real number")
     non_finite = ~np.isfinite(delta)
     if np.any(non_finite):
         raise PreconditionViolation(
@@ -175,6 +174,7 @@ def conditional_probabilities(delta) -> np.ndarray:
 
 def epr_bohm_probabilities(angles: AnglePair) -> TransitionMatrix:
     """Closed-form matrix of ``b`` outcomes conditioned on the selection."""
+    require_instance(angles, AnglePair, "angles", "an")
     return TransitionMatrix(conditional_probabilities(angles.delta))
 
 
@@ -230,6 +230,8 @@ def reconstruct_via_interference(
     TransitionMatrix
         Rows index the ``b`` result, columns the selection outcome.
     """
+    require_instance(angles, AnglePair, "angles", "an")
+    require_instance(signs, SignConvention, "signs")
     p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
     return TransitionMatrix(phase_entries(p_ac, p_ba, signs, flip_second_column=True))
 
@@ -267,6 +269,7 @@ def verify_phase_opposition(
         :class:`SignConvention`, equal signs are allowed here; rejecting them
         is this function's job.)
     """
+    require_instance(angles, AnglePair, "angles", "an")
     p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
     residual = phase_opposition_residuals(p_ac, p_ba, cos_theta_plus, cos_theta_minus)
     return bool(residual <= NORMALIZATION_TOL)
@@ -288,6 +291,8 @@ def verify_selection_phase_flip(
     and the check fails for every nondegenerate angle pair, which makes the
     flag useful as a negative control.
     """
+    require_instance(angles, AnglePair, "angles", "an")
+    require_instance(signs, SignConvention, "signs")
     p_ac, p_ba = angle_matrices(angles.xi, angles.eta)
     entries = phase_entries(p_ac, p_ba, signs, flip_second_column=not violate_flip)
     return bool(row_sum_residuals(entries) <= NORMALIZATION_TOL)
@@ -318,7 +323,9 @@ def setting_correlation(delta: float, marginal_c: BinaryDistribution) -> float:
     ``marginal_c``; the argument is kept so callers can feed whichever
     selection marginal their setup uses and see that indifference directly.
     """
-    return float(correlation_values(delta, marginal_c.p_plus, marginal_c.p_minus))
+    require_instance(marginal_c, BinaryDistribution, "marginal_c")
+    return _convert(float, correlation_values(delta, marginal_c.p_plus, marginal_c.p_minus),
+                    PreconditionViolation, "delta must be a real number")
 
 
 def chsh_values(a, a_prime, b, b_prime, q_plus, q_minus) -> np.ndarray:
@@ -339,10 +346,12 @@ def chsh(
 
     Each ``E`` is :func:`setting_correlation` of the corresponding setting
     difference. At settings ``(0, pi/4, pi/8, 3*pi/8)`` the value is
-    ``-2 sqrt(2)``, the extreme of this family. A non-finite setting, or
-    settings whose difference overflows, raise :class:`PreconditionViolation`.
+    ``-2 sqrt(2)``, the extreme of this family. A setting that is no real number
+    or not finite, or settings whose difference overflows, raise
+    :class:`PreconditionViolation`.
     """
-    return float(
-        chsh_values(a, a_prime, b, b_prime, marginal_c.p_plus, marginal_c.p_minus)
-    )
+    require_instance(marginal_c, BinaryDistribution, "marginal_c")
+    return _convert(
+        lambda settings: float(chsh_values(*settings, marginal_c.p_plus, marginal_c.p_minus)),
+        (a, a_prime, b, b_prime), PreconditionViolation, "settings must be real numbers")
 

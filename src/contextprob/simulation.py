@@ -62,7 +62,14 @@ import numpy as np
 from ._choices import LhvStrategy, TimeDistribution
 from .core import BinaryDistribution
 from .eprbohm import CHSH_TERMS, AnglePair, conditional_probabilities
-from .errors import ContextualProbabilityError, PreconditionViolation, require_count, require_seed
+from .errors import (
+    ContextualProbabilityError,
+    PreconditionViolation,
+    _shown,
+    require_count,
+    require_instance,
+    require_seed,
+)
 # numpy.random at import, not on first use: the CLI imports this module with SIGINT
 # held. Last, since loaded before the modules above it raised peak RSS by 0.3 MiB.
 import numpy.random  # noqa: F401
@@ -93,8 +100,7 @@ class SimConfig:
         object.__setattr__(self, "seed", require_seed(self.seed))
         for name, kind in (("angles", AnglePair), ("marginal_c", BinaryDistribution),
                            ("time_distribution", TimeDistribution)):
-            if not isinstance(value := getattr(self, name), kind):
-                raise PreconditionViolation(f"{name} must be a {kind.__name__}, got {value!r}")
+            require_instance(getattr(self, name), kind, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +175,7 @@ def _philox_key(seed: int) -> np.ndarray:
 
 
 def _config_key(config: SimConfig) -> np.ndarray:
-    if not isinstance(config, SimConfig):
-        raise PreconditionViolation(f"config must be a SimConfig, got {config!r}")
+    require_instance(config, SimConfig, "config")
     return _philox_key(config.seed)
 
 
@@ -430,7 +435,7 @@ def _scan(settings: tuple, n: int, seed: int, branch: int, agreements, side=floa
         except OverflowError:
             finite = False
         if not finite:
-            raise PreconditionViolation(f"setting {name} must be finite, got {setting!r}")
+            raise PreconditionViolation(f"setting {name} must be finite, got {_shown(setting)}")
     n = require_count(n, "n_per_setting")
     seed = require_seed(seed)
     sides = [side(float(setting)) for setting in settings]
@@ -457,8 +462,7 @@ def simulate_chsh(
     correlation from the counts, and combines them as
     ``E(a,b) - E(a,b') + E(a',b) + E(a',b')``.
     """
-    if not isinstance(marginal_c, BinaryDistribution):
-        raise PreconditionViolation(f"marginal_c must be a BinaryDistribution, got {marginal_c!r}")
+    require_instance(marginal_c, BinaryDistribution, "marginal_c")
 
     def agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
         cond = conditional_probabilities(x - y)
@@ -543,8 +547,7 @@ def lhv_baseline_chsh(
     correlation estimates 0. Child seeds per setting pair are drawn from a
     branch disjoint from :func:`simulate_chsh`.
     """
-    if not isinstance(strategy, LhvStrategy):
-        raise PreconditionViolation(f"strategy must be an LhvStrategy, got {strategy!r}")
+    require_instance(strategy, LhvStrategy, "strategy", "an")
     sign = strategy is LhvStrategy.DETERMINISTIC_SIGN
     agreements, side = (_sign_agreements, _sign_flips) if sign else (_coin_agreements, float)
     return _scan((a, a_prime, b, b_prime), n_per_setting, seed, 1, agreements, side)

@@ -1,9 +1,12 @@
-"""The package's public name list stays in step with what it defines, and its value
-objects build or raise their own typed error whatever they are given."""
+"""The package's public name list stays in step with what it defines, each name has
+one home, and its value objects and functions return or raise a typed error
+whatever they are given."""
 
 import ast
+import inspect
 import json
 import math
+import numbers
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,13 +17,17 @@ from hypothesis import strategies as st
 
 import contextprob
 from contextprob import (
+    DEFAULT_SIGNS,
     AnglePair,
     BinaryDistribution,
     ContextualProbabilityError,
     InvalidDistribution,
     InvalidMatrix,
+    LhvStrategy,
+    OutOfRangeProbability,
     PreconditionViolation,
     SignConvention,
+    SimConfig,
     TransitionMatrix,
 )
 from contextprob.core import InterferenceCoefficient
@@ -84,11 +91,12 @@ print(json.dumps([before, simulation.__name__, after, unresolved]))
 
 @pytest.mark.parametrize("name", ["LhvStrategy", "TimeDistribution"])
 def test_an_enum_the_parser_lists_is_one_object_under_every_name(name):
-    # defined in the numpy-free _choices, and imported from there by every layer
+    # defined in the numpy-free _choices, and imported from there by every module using it
     from contextprob import _choices, cli, eprbohm, simulation
 
-    homes = [getattr(module, name) for module in (contextprob, cli, eprbohm, simulation)]
+    homes = [getattr(module, name) for module in (contextprob, cli, simulation)]
     assert all(home is getattr(_choices, name) for home in homes)
+    assert not hasattr(eprbohm, name)  # which uses neither
 
 
 def test_dir_covers_all_without_loading_a_layer(run_python):
@@ -104,20 +112,26 @@ def test_dir_covers_all_without_loading_a_layer(run_python):
 ENTRY_NAMES = {("cli", "entry"), ("cli", "main"), ("cli", "build_parser")}
 
 
+def package_trees() -> dict:
+    """Each package module's syntax tree, by module name."""
+    package = Path(contextprob.__file__).parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in package.glob("*.py")}
+
+
+def sibling_imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(module, name)`` of each ``from .module import name`` in ``tree``."""
+    return [(node.module, alias.asname or alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
 def test_every_public_definition_is_exported_or_imported():
     # A public module-level function or class that neither __all__ names nor
     # another package module imports has no caller: delete it or export it.
-    package = Path(contextprob.__file__).parent
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")
-    }
-    imported = {
-        (node.module, alias.name)
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+    trees = package_trees()
+    imported = {pair for tree in trees.values() for pair in sibling_imports(tree)}
     orphans = [
         f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -128,6 +142,18 @@ def test_every_public_definition_is_exported_or_imported():
         and (module, node.name) not in imported | ENTRY_NAMES
     ]
     assert orphans == []
+
+
+def test_every_name_imported_from_a_sibling_is_used():
+    # A name that a module imports from another package module and never uses is a
+    # re-export, a second home for the name: import it from its one home instead.
+    unused = [
+        f"{module}.{name}"
+        for module, tree in package_trees().items()
+        for _, name in sibling_imports(tree)
+        if name not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    ]
+    assert unused == []
 
 
 # ---------------------------------------------------------------- value-object constructors
@@ -247,3 +273,124 @@ def test_a_coefficient_keeps_the_value_it_was_given():
     # the one constructor that converts nothing: a bool stays a bool
     coeff = InterferenceCoefficient(True)
     assert (coeff.lam, coeff.regime.value, coeff.theta) == (True, "trigonometric", 0.0)
+
+
+# ---------------------------------------------------------------- public functions
+
+ANGLES, UNIFORM = AnglePair(0.7, 0.3), BinaryDistribution.uniform()
+CONFIG = SimConfig(ANGLES, UNIFORM, 5, 1)
+# Each function in __all__ with positional arguments it accepts; a count is small,
+# so a call that accepts its arguments returns quickly.
+FUNCTIONS = {
+    "classical_total_probability": (UNIFORM, TransitionMatrix.uniform(), 1),
+    "incompatibility_coefficient": (0.3, UNIFORM, TransitionMatrix.uniform(), 1),
+    "interference_probability": (UNIFORM, TransitionMatrix.uniform(), 1, 1.0),
+    "chsh": (0.0, 0.5, 0.2, 0.9, UNIFORM),
+    "conditional_probabilities": (0.3,),
+    "epr_bohm_probabilities": (ANGLES,),
+    "matrices_from_angles": (ANGLES,),
+    "reconstruct_via_interference": (ANGLES, DEFAULT_SIGNS),
+    "setting_correlation": (0.3, UNIFORM),
+    "verify_phase_opposition": (ANGLES, 1.0, -1.0),
+    "verify_selection_phase_flip": (ANGLES, DEFAULT_SIGNS),
+    "simulate_chsh": (0.0, 0.5, 0.2, 0.9, UNIFORM, 5, 1),
+    "lhv_baseline_chsh": (0.0, 0.5, 0.2, 0.9, LhvStrategy.DETERMINISTIC_SIGN, 5, 1),
+    "run_simulation": (CONFIG,),
+    "time_order_statistics": (CONFIG,),
+    "run_property_suite": (5, 1),
+}
+
+
+def small(value) -> bool:
+    # no count the scans or the suite would take long to run
+    return not isinstance(value, numbers.Integral) or isinstance(value, bool) or not (
+        64 < value < 2**63)
+
+
+def test_every_public_function_is_fuzzed():
+    functions = {name for name in contextprob.__all__
+                 if inspect.isfunction(getattr(contextprob, name))}
+    assert functions == set(FUNCTIONS)
+
+
+@given(st.sampled_from(sorted(FUNCTIONS)), st.data())
+def test_a_function_returns_or_raises_a_typed_error(name, data):
+    args = list(FUNCTIONS[name])
+    for i in data.draw(st.sets(st.sampled_from(range(len(args))), min_size=1)):
+        args[i] = data.draw(VALUES.filter(small))
+    try:
+        getattr(contextprob, name)(*args)
+    except ContextualProbabilityError:
+        pass
+
+
+STRING_TO_FLOAT = "could not convert string to float: 'x'"
+NOT_A_SCALAR = "only 0-dimensional arrays can be converted to Python scalars"
+UNSUPPORTED = "settings must be real numbers: unsupported operand type(s) for -:"
+
+
+@pytest.mark.parametrize("name, position, value, error, message", [
+    ("classical_total_probability", 0, "x", PreconditionViolation,
+     "prior must be a BinaryDistribution, got 'x'"),
+    ("classical_total_probability", 1, "x", PreconditionViolation,
+     "transition must be a TransitionMatrix, got 'x'"),
+    ("incompatibility_coefficient", 0, "x", PreconditionViolation,
+     f"observed must be a real number: {STRING_TO_FLOAT}"),
+    ("incompatibility_coefficient", 0, [0.3], PreconditionViolation,
+     f"observed must be a real number: {NOT_A_SCALAR}"),
+    # None converts to NaN, which the formula's own check rejects, as before
+    ("incompatibility_coefficient", 0, None, OutOfRangeProbability,
+     "observed probability must lie in [0, 1], got nan"),
+    ("incompatibility_coefficient", 1, "x", PreconditionViolation,
+     "prior must be a BinaryDistribution, got 'x'"),
+    ("incompatibility_coefficient", 2, "x", PreconditionViolation,
+     "transition must be a TransitionMatrix, got 'x'"),
+    ("interference_probability", 0, "x", PreconditionViolation,
+     "prior must be a BinaryDistribution, got 'x'"),
+    ("interference_probability", 1, "x", PreconditionViolation,
+     "transition must be a TransitionMatrix, got 'x'"),
+    ("interference_probability", 3, "x", PreconditionViolation,
+     f"theta must be a real number: {STRING_TO_FLOAT}"),
+    ("interference_probability", 3, 10**400, PreconditionViolation,
+     "theta must be a real number: int too large to convert to float"),
+    ("chsh", 0, "x", PreconditionViolation, f"{UNSUPPORTED} 'str' and 'float'"),
+    ("chsh", 1, "x", PreconditionViolation, f"{UNSUPPORTED} 'str' and 'float'"),
+    ("chsh", 2, "x", PreconditionViolation, f"{UNSUPPORTED} 'float' and 'str'"),
+    ("chsh", 3, "x", PreconditionViolation, f"{UNSUPPORTED} 'float' and 'str'"),
+    ("chsh", 2, None, PreconditionViolation, f"{UNSUPPORTED} 'float' and 'NoneType'"),
+    ("chsh", 0, math.inf, PreconditionViolation, "angle difference must be finite, got inf"),
+    ("chsh", 4, "x", PreconditionViolation, "marginal_c must be a BinaryDistribution, got 'x'"),
+    ("conditional_probabilities", 0, "x", PreconditionViolation,
+     f"angle difference must be a real number: {STRING_TO_FLOAT}"),
+    ("epr_bohm_probabilities", 0, "x", PreconditionViolation,
+     "angles must be an AnglePair, got 'x'"),
+    ("matrices_from_angles", 0, "x", PreconditionViolation,
+     "angles must be an AnglePair, got 'x'"),
+    ("reconstruct_via_interference", 0, "x", PreconditionViolation,
+     "angles must be an AnglePair, got 'x'"),
+    ("reconstruct_via_interference", 1, "x", PreconditionViolation,
+     "signs must be a SignConvention, got 'x'"),
+    ("setting_correlation", 0, "x", PreconditionViolation,
+     f"angle difference must be a real number: {STRING_TO_FLOAT}"),
+    ("setting_correlation", 0, [0.1, 0.2], PreconditionViolation,
+     f"delta must be a real number: {NOT_A_SCALAR}"),
+    ("setting_correlation", 0, None, PreconditionViolation,
+     "angle difference must be finite, got nan"),
+    ("setting_correlation", 1, "x", PreconditionViolation,
+     "marginal_c must be a BinaryDistribution, got 'x'"),
+    ("verify_phase_opposition", 0, "x", PreconditionViolation,
+     "angles must be an AnglePair, got 'x'"),
+    ("verify_selection_phase_flip", 0, "x", PreconditionViolation,
+     "angles must be an AnglePair, got 'x'"),
+    ("verify_selection_phase_flip", 1, "x", PreconditionViolation,
+     "signs must be a SignConvention, got 'x'"),
+    ("simulate_chsh", 0, Fraction(10**5000), PreconditionViolation,
+     "setting a must be finite, got <Fraction too long to show>"),
+])
+def test_a_value_a_function_cannot_use_raises_the_typed_error(name, position, value, error,
+                                                             message):
+    args = list(FUNCTIONS[name])
+    args[position] = value
+    with pytest.raises(ContextualProbabilityError) as info:
+        getattr(contextprob, name)(*args)
+    assert (type(info.value), str(info.value)) == (error, message)

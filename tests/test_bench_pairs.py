@@ -128,7 +128,7 @@ def fake_perfbench(seen):
 
 
 def test_main_exports_both_sides_at_equal_path_lengths_and_writes_the_file(
-        repo, tmp_path, monkeypatch):
+        repo, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "pycache"))
     seen, out = [], tmp_path / "BENCH_0.json"
     assert bench_pairs.main(["--parent", "HEAD~1", "--change", "HEAD", "--workload", "verify",
@@ -165,6 +165,13 @@ def test_main_exports_both_sides_at_equal_path_lengths_and_writes_the_file(
         assert (wall["parent"]["median"], wall["change"]["median"]) == (2.0, 1.0)
         assert (wall["change_wins"], wall["ratios"]) == (2, [0.5, 0.5])
         assert entry["metrics"]["items_per_s"]["change_wins"] == 2
+    # the closing summary is the trajectory reader's table of the file
+    assert capsys.readouterr().out.splitlines() == bench_pairs.table(result) == [
+        "verify wall_ref: 2 -> 1 [parent IQR 0], change won 2 of 2",
+        "verify items_per_s: 0.5 -> 1 [parent IQR 0], change won 2 of 2",
+        "scan wall_ref: 2 -> 1 [parent IQR 0], change won 2 of 2",
+        "scan items_per_s: 0.5 -> 1 [parent IQR 0], change won 2 of 2",
+    ]
 
 
 def test_the_working_tree_side_sees_uncommitted_edits_and_leaves_the_repository_as_it_was(
@@ -209,4 +216,5 @@ def test_the_table_prints_each_schema_file_and_names_each_file_it_skips(tmp_path
     assert lines[4].startswith(f"{paths[2]}: skipped, Expecting property name")
     assert lines[5].startswith(f"{tmp_path / 'BENCH_0.json'}: skipped, [Errno 2]")
     assert len(lines) == 6
-    assert bench_table.SCHEMA == bench_pairs.SCHEMA
+    # one home for the schema and the line format: the writer of the files
+    assert (bench_table.SCHEMA, bench_table.table) == (bench_pairs.SCHEMA, bench_pairs.table)

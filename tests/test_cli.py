@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import contextprob
 from contextprob import (
     DEFAULT_SIGNS,
     AnglePair,
@@ -812,19 +813,21 @@ class TestStartUp:
         child = run_python("-c", code)
         assert set(child.stdout.split()) == {*PARSING, "contextprob.cli"}, child.stderr
 
-    def test_a_late_name_is_bound_in_the_cli_on_first_use(self, run_python):
+    def test_an_exported_name_is_bound_in_the_cli_on_first_use(self, run_python):
         # where tests and perfbench/tracing.py patch it, and where main calls it
         code = ("import json, sys; import contextprob, contextprob.cli as cli\n"
-                "before = sorted(set(cli._LATE) & set(vars(cli)))\n"
+                "before = sorted(set(contextprob.__all__) & set(vars(cli)))\n"
                 "numpy_before = 'numpy' in sys.modules\n"
                 "cli.main(sys.argv[1:])\n"
-                "after = sorted(set(cli._LATE) & set(vars(cli)))\n"
+                "after = sorted(set(contextprob.__all__) & set(vars(cli)) - set(before))\n"
                 "same = all(getattr(cli, name) is getattr(contextprob, name) for name in after)\n"
                 "print(json.dumps([before, numpy_before, after, same]))")
         child = run_python("-c", code, *SIMULATE)
         assert child.returncode == 0, child.stderr
         before, numpy_before, after, same = json.loads(child.stdout.splitlines()[-1])
-        assert (before, numpy_before, same) == ([], False, True)
+        # the names parsing needs are imported; the layers' are not yet
+        assert (before, numpy_before, same) == (
+            ["ContextualProbabilityError", "LhvStrategy", "TimeDistribution"], False, True)
         assert after == ["AnglePair", "BinaryDistribution", "SimConfig",
                          "conditional_probabilities", "run_simulation", "setting_correlation"]
 
@@ -836,8 +839,12 @@ class TestStartUp:
         assert run(capsys, *SIMULATE)[0] == 0
         assert calls == [AnglePair(float(SIMULATE[2]), float(SIMULATE[4])).delta]
 
-    @pytest.mark.parametrize("name", ["time_order_statistics", "PLUS", "simulation"])
-    def test_only_the_late_names_resolve_on_first_use(self, name):
+    @pytest.mark.parametrize("name", ["time_order_statistics", "PLUS", "__version__"])
+    def test_any_name_the_package_exports_resolves(self, name):
+        assert getattr(cli, name) is getattr(contextprob, name)
+
+    @pytest.mark.parametrize("name", ["simulation", "_HOMES", "require_count", "np"])
+    def test_no_other_name_resolves(self, name):
         with pytest.raises(AttributeError, match=f"module 'contextprob.cli' has no attribute "
                                                  f"'{name}'"):
             getattr(cli, name)

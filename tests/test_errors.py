@@ -1,4 +1,5 @@
-"""The shared count and seed checks of ``contextprob.errors``, which import no numpy."""
+"""The shared count, seed and type checks of ``contextprob.errors``, which import no
+numpy."""
 
 import math
 from fractions import Fraction
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from contextprob.errors import InvalidCount, PreconditionViolation, require_count, require_seed
+from contextprob.errors import (
+    InvalidCount,
+    PreconditionViolation,
+    require_count,
+    require_instance,
+    require_seed,
+)
 
 INTEGER_TYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 FLOAT_TYPES = (np.float16, np.float32, np.float64, np.longdouble)
@@ -105,3 +112,23 @@ def test_the_checks_load_no_numpy(run_python):
             "print(require_count(3, 'n') + require_seed(4), 'numpy' in sys.modules)")
     child = run_python("-c", code)
     assert child.stdout.split() == ["7", "False"], child.stderr
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: require_instance(0.5, Fraction, "ratio"), "ratio must be a Fraction, got 0.5"),
+    (lambda: require_instance("x", int, "count", "an"), "count must be an int, got 'x'"),
+    # repr and str of an int of more than 4300 digits raise ValueError
+    (lambda: require_instance(10**5000, str, "name"),
+     "name must be a str, got <int too long to show>"),
+    (lambda: require_count(10**5000, "n"),
+     "n must be a positive integer, got <int too long to show>"),
+    (lambda: require_seed(Fraction(10**5000)),
+     "seed must be an integer, got <Fraction too long to show>"),
+    (lambda: require_seed(-(10**5000)),
+     "seed must satisfy 0 <= seed < 2**64, got <int too long to show>"),
+], ids=["kind", "article", "too-long", "count-too-long", "seed-type-too-long",
+        "seed-range-too-long"])
+def test_a_check_names_the_value_or_the_type_of_one_too_long_to_show(call, message):
+    with pytest.raises((InvalidCount, PreconditionViolation)) as info:
+        call()
+    assert str(info.value) == message

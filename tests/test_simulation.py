@@ -476,8 +476,9 @@ class TestLhvBaseline:
             lhv_baseline_chsh(*OPTIMAL, LhvStrategy.RANDOM_LOCAL, 0, 1)
 
     def test_rejects_unknown_strategy(self):
-        with pytest.raises(PreconditionViolation):
+        with pytest.raises(PreconditionViolation) as info:
             lhv_baseline_chsh(*OPTIMAL, "sign", 10, 1)
+        assert str(info.value) == "strategy must be an LhvStrategy, got 'sign'"
 
     def test_separation_from_the_interference_model(self):
         n = 200_000

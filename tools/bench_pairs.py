@@ -153,6 +153,16 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
     return out
 
 
+def table(result: dict) -> list[str]:
+    """One line per workload and end-to-end metric of a result: both medians, the
+    parent's IQR and the pairs the change won."""
+    return [f"{workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
+            f"[parent IQR {m['parent']['iqr']:.3g}], change won {m['change_wins']} "
+            f"of {len(m['ratios'])}"
+            for workload, entry in result["workloads"].items()
+            for name, m in entry["metrics"].items()]
+
+
 def machine_facts() -> dict:
     facts = {"nproc": os.cpu_count(), "python": platform.python_version(),
              "platform": platform.platform(), "cpu_model": None}
@@ -223,11 +233,8 @@ def main(argv: list[str] | None = None, runner=run_perfbench, root: Path = ROOT)
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
-    for workload, entry in workloads.items():
-        for name, m in entry["metrics"].items():
-            print(f"{workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
-                  f"[parent IQR {m['parent']['iqr']:.3g}], change won {m['change_wins']} "
-                  f"of {len(m['ratios'])}")
+    for line in table(result):
+        print(line)
     return 0
 
 

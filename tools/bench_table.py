@@ -19,16 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMA = "bench_pairs/1"  # as tools/bench_pairs.py writes it
-
-
-def table(result: dict) -> list[str]:
-    """One line per workload and metric of a ``bench_pairs/1`` result."""
-    return [f"{workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
-            f"[parent IQR {m['parent']['iqr']:.3g}], change won {m['change_wins']} "
-            f"of {len(m['ratios'])}"
-            for workload, entry in result["workloads"].items()
-            for name, m in entry["metrics"].items()]
+from bench_pairs import SCHEMA, table  # the writer of the files, beside this one in tools/
 
 
 def main(argv: list[str] | None = None) -> int:
