@@ -1,9 +1,9 @@
 """The simulation's two enums, whose values the CLI parser lists as choices.
 
 They live apart from the layers, with no numpy import, so that building the
-parser, ``--help`` and a usage error load no layer. :mod:`contextprob.eprbohm`
-and :mod:`contextprob.simulation` import them from here, so every name binds
-the same objects.
+parser, ``--help`` and a usage error load no layer. The package,
+:mod:`contextprob.cli` and :mod:`contextprob.simulation` import them from here,
+so every name binds the same objects.
 """
 
 from enum import Enum

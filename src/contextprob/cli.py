@@ -50,6 +50,8 @@ from .errors import ContextualProbabilityError
 OPTIMAL_SETTINGS = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 
 _SIGN_VALUES = {"+": 1, "+1": 1, "-": -1, "-1": -1}
+# the four cells (i, j, beta, gamma) of a result-by-condition matrix, row-major
+_CELLS = tuple((i, j, b, g) for i, b in enumerate("+-") for j, g in enumerate("+-"))
 
 # Parsing needs no layer, and every layer loads numpy. A handler looks up each name
 # it takes from a layer on ``_late``, this module, whose ``__getattr__`` looks up any
@@ -242,9 +244,7 @@ def _cmd_epr(args: argparse.Namespace) -> _Output:
     }
     rows = [["record", "beta", "gamma", "value"]]
     for label, matrix in (("closed_form", closed), ("reconstructed", recon)):
-        for i, b in enumerate(("+", "-")):
-            for j, g in enumerate(("+", "-")):
-                rows.append([label, b, g, float(matrix.entries[i, j])])
+        rows += ([label, b, g, float(matrix.entries[i, j])] for i, j, b, g in _CELLS)
     rows.append(["max_abs_difference", "", "", max_diff])
     rows.append(["correlation", "", "", corr])
     lines = [
@@ -311,16 +311,15 @@ def _cmd_simulate(args: argparse.Namespace) -> _Output:
         f"times = {config.time_distribution.value}, redraws = {report.n_redraws}",
         "  beta gamma      count     estimate    std_error     analytic",
     ]
-    for i, b in enumerate(("+", "-")):
-        for j, g in enumerate(("+", "-")):
-            count = int(report.counts[i, j])
-            est = float(report.estimated_conditionals[i, j])
-            se = float(report.std_errors[i, j])
-            rows.append([b, g, count, est, se])
-            lines.append(
-                f"  {b:>4s} {g:>5s} {count:>10d} {_fmt(est):>12s} {_fmt(se):>12s} "
-                f"{_fmt(float(analytic[i, j])):>12s}"
-            )
+    for i, j, b, g in _CELLS:
+        count = int(report.counts[i, j])
+        est = float(report.estimated_conditionals[i, j])
+        se = float(report.std_errors[i, j])
+        rows.append([b, g, count, est, se])
+        lines.append(
+            f"  {b:>4s} {g:>5s} {count:>10d} {_fmt(est):>12s} {_fmt(se):>12s} "
+            f"{_fmt(float(analytic[i, j])):>12s}"
+        )
     lines.append(
         f"  correlation: estimated {_fmt(report.estimated_correlation)}, "
         f"analytic {_fmt(analytic_corr)}"
@@ -332,67 +331,32 @@ def _cmd_simulate(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_chsh(args: argparse.Namespace) -> _Output:
-    if args.optimal:
-        a, a_prime, b, b_prime = OPTIMAL_SETTINGS
-    else:
-        a, a_prime, b, b_prime = (_to_radians(v, args.unit) for v in args.settings)
+    settings = OPTIMAL_SETTINGS if args.optimal else [_to_radians(v, args.unit)
+                                                      for v in args.settings]
     seed = _resolve_seed(args.seed)
     marginal = _late.BinaryDistribution.from_p_plus(args.marginal)
-    s_estimate = _late.simulate_chsh(a, a_prime, b, b_prime, marginal, args.n, seed)
-    s_analytic = _late.chsh(a, a_prime, b, b_prime, marginal)
-    baseline = None
-    if args.baseline:
-        strategy = LhvStrategy(args.baseline)
-        baseline_s = _late.lhv_baseline_chsh(a, a_prime, b, b_prime, strategy, args.n, seed)
-        baseline = {
-            "strategy": strategy.value,
-            "s_estimate": baseline_s,
-            "s_abs": abs(baseline_s),
-        }
+    s_estimate = _late.simulate_chsh(*settings, marginal, args.n, seed)
+    results = {"s_estimate": s_estimate, "s_abs": abs(s_estimate),
+               "s_analytic": _late.chsh(*settings, marginal), "baseline": None}
 
-    inputs = {
-        "settings": [a, a_prime, b, b_prime],
-        "marginal_p_plus": marginal.p_plus,
-        "n_per_setting": args.n,
-    }
-    results = {
-        "s_estimate": s_estimate,
-        "s_abs": abs(s_estimate),
-        "s_analytic": s_analytic,
-        "baseline": baseline,
-    }
-    rows = [
-        ["quantity", "value"],
-        ["s_estimate", s_estimate],
-        ["s_abs", abs(s_estimate)],
-        ["s_analytic", s_analytic],
-    ]
+    inputs = {"settings": settings, "marginal_p_plus": marginal.p_plus, "n_per_setting": args.n}
+    rows = [["quantity", "value"], *list(results.items())[:3]]
     lines = [
         "four-setting correlation scan",
-        f"  settings (rad): a = {_fmt(a)}, a' = {_fmt(a_prime)}, "
-        f"b = {_fmt(b)}, b' = {_fmt(b_prime)}",
+        "  settings (rad): a = {}, a' = {}, b = {}, b' = {}".format(*map(_fmt, settings)),
         f"  trials per setting = {args.n}, seed = {seed}",
         f"  S estimate : {_fmt(s_estimate)}   |S| = {_fmt(abs(s_estimate))}",
-        f"  S analytic : {_fmt(s_analytic)}",
+        f"  S analytic : {_fmt(results['s_analytic'])}",
     ]
-    if baseline:
-        rows.append([f"baseline_{baseline['strategy']}", baseline["s_estimate"]])
-        lines.append(
-            f"  baseline ({baseline['strategy']}): S = {_fmt(baseline['s_estimate'])}"
-            f"   |S| = {_fmt(baseline['s_abs'])}"
-        )
+    if strategy := args.baseline:  # an LhvStrategy value
+        s = _late.lhv_baseline_chsh(*settings, LhvStrategy(strategy), args.n, seed)
+        results["baseline"] = {"strategy": strategy, "s_estimate": s, "s_abs": abs(s)}
+        rows.append([f"baseline_{strategy}", s])
+        lines.append(f"  baseline ({strategy}): S = {_fmt(s)}   |S| = {_fmt(abs(s))}")
     return _Output(inputs, results, seed, rows, lines)
 
 
 # ---------------------------------------------------------------- parser wiring
-
-
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table",
-        help="output format (default: table)",
-    )
-    parser.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="transition matrix, row-major: p(+|+),p(+|-),p(-|+),p(-|-)")
     p_lambda.add_argument("--beta", choices=sorted(_SIGN_VALUES), default="+",
                           help="result outcome (default: +)")
-    _add_output_options(p_lambda)
-    p_lambda.set_defaults(handler=_cmd_lambda)
 
     p_epr = sub.add_parser(
         "epr", help="closed-form conditionals next to the interference reconstruction"
@@ -427,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use phase cosines (+1, -1) instead of (-1, +1)")
     p_epr.add_argument("--marginal", type=_float_arg, default=0.5,
                        help="selection marginal p(+) for the correlation (default: 0.5)")
-    _add_output_options(p_epr)
-    p_epr.set_defaults(handler=_cmd_epr)
 
     p_verify = sub.add_parser("verify", help="randomized self-checks")
     p_verify.add_argument("--samples", type=_positive_int, default=1000,
@@ -437,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seed of the sweep (default: fresh entropy)")
     p_verify.add_argument("--break-phase-flip", action="store_true",
                           help="negative control: suppress the cross-context phase flip")
-    _add_output_options(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="one seeded ensemble of selection/measurement trials")
     p_sim.add_argument("--xi", type=_float_arg, required=True, help="first angle, in (0, pi/2)")
@@ -455,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how event times are drawn (default: uniform-square)")
     p_sim.add_argument("--trace", metavar="PATH",
                        help="write one JSON line per trial to this file")
-    _add_output_options(p_sim)
-    p_sim.set_defaults(handler=_cmd_simulate)
 
     p_chsh = sub.add_parser("chsh", help="four-setting correlation scan")
     p_settings = p_chsh.add_mutually_exclusive_group(required=True)
@@ -475,9 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="root seed (default: fresh entropy, echoed in the output)")
     p_chsh.add_argument("--baseline", choices=[s.value for s in LhvStrategy], default=None,
                         help="also run a local hidden-variable baseline from the same seed")
-    _add_output_options(p_chsh)
-    p_chsh.set_defaults(handler=_cmd_chsh)
 
+    for command, handler in ((p_lambda, _cmd_lambda), (p_epr, _cmd_epr), (p_verify, _cmd_verify),
+                             (p_sim, _cmd_simulate), (p_chsh, _cmd_chsh)):
+        command.add_argument("--format", choices=("table", "json", "csv"), default="table",
+                             help="output format (default: table)")
+        command.add_argument("--out", metavar="PATH",
+                             help="write output to a file instead of stdout")
+        command.set_defaults(handler=handler)
     return parser
 
 

@@ -65,6 +65,7 @@ from .eprbohm import CHSH_TERMS, AnglePair, conditional_probabilities
 from .errors import (
     ContextualProbabilityError,
     PreconditionViolation,
+    _convert,
     _shown,
     require_count,
     require_instance,
@@ -129,7 +130,10 @@ class SimReport:
     wall_config: SimConfig
 
     def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.int64, copy=True)
+        with np.errstate(invalid="ignore"):  # NaN, inf, 1e300 cast to -2**63 on x86: rejected below
+            counts = _convert(lambda c: np.array(c, dtype=np.int64, copy=True), self.counts,
+                              PreconditionViolation, "counts must be integers")
+        require_instance(self.wall_config, SimConfig, "wall_config")
         n = self.wall_config.n_pairs
         if counts.shape != (2, 2):
             raise PreconditionViolation(f"counts must be 2x2, got shape {counts.shape}")
@@ -146,7 +150,8 @@ class SimReport:
         for arr in (counts, est, se):
             arr.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n_redraws", int(self.n_redraws))
+        object.__setattr__(self, "n_redraws", _convert(
+            int, self.n_redraws, PreconditionViolation, "n_redraws must be an integer"))
         object.__setattr__(self, "estimated_conditionals", est)
         object.__setattr__(self, "estimated_correlation", _correlation(int(np.trace(counts)), n))
         object.__setattr__(self, "std_errors", se)
@@ -515,13 +520,11 @@ def _sign_agreements(x: list, y: list, n: int, key: np.ndarray) -> int:
 
 def _coin_agreements(x: float, y: float, n: int, key: np.ndarray) -> int:
     # one word per trial: side a reads trials 0 .. n-1, side b trials n .. 2n-1
-    half, side_b = _threshold(0.5) << _LOW_BITS, {}  # each range's side b, by its next trial
+    half = _threshold(0.5) << _LOW_BITS
 
     def visit(lo: int, a: np.ndarray) -> int:
-        b = side_b.pop(lo, None) or _stream(key, n + lo, 1)  # made at the range's first block
-        agree = np.count_nonzero((a[:, 0] >= half) == (b.random_raw(len(a)) >= half))
-        side_b[lo + len(a)] = b  # filed once read: range 1 may take over range 0's
-        return int(agree)
+        b = _stream(key, n + lo, 1).random_raw(len(a))  # the block's side b, from word n + lo
+        return int(np.count_nonzero((a[:, 0] >= half) == (b >= half)))
 
     return _walk(key, n, visit, width=1)
 

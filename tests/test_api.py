@@ -28,6 +28,7 @@ from contextprob import (
     PreconditionViolation,
     SignConvention,
     SimConfig,
+    SimReport,
     TransitionMatrix,
 )
 from contextprob.core import InterferenceCoefficient
@@ -158,6 +159,8 @@ def test_every_name_imported_from_a_sibling_is_used():
 
 # ---------------------------------------------------------------- value-object constructors
 
+ANGLES, UNIFORM = AnglePair(0.7, 0.3), BinaryDistribution.uniform()
+CONFIG = SimConfig(ANGLES, UNIFORM, 5, 1)
 # Each constructor, the number of values it takes, and the one error type it raises.
 CONSTRUCTORS = {
     "BinaryDistribution": (BinaryDistribution, 2, InvalidDistribution),
@@ -166,6 +169,7 @@ CONSTRUCTORS = {
     "AnglePair": (AnglePair, 2, PreconditionViolation),
     "SignConvention": (SignConvention, 2, PreconditionViolation),
     "InterferenceCoefficient": (InterferenceCoefficient, 1, PreconditionViolation),
+    "SimReport": (SimReport, 3, PreconditionViolation),
 }
 
 SCALARS = st.one_of(
@@ -247,9 +251,16 @@ def test_a_constructor_returns_or_raises_its_own_typed_error(name, data):
      "lam must be a real number or None: must be real number, not str"),
     (lambda: InterferenceCoefficient(10**400), PreconditionViolation,
      "lam must be a real number or None: int too large to convert to float"),
+    (lambda: SimReport(np.zeros((2, 2)), 0, "x"), PreconditionViolation,
+     "wall_config must be a SimConfig, got 'x'"),
+    (lambda: SimReport("x", 0, CONFIG), PreconditionViolation,
+     "counts must be integers: invalid literal for int() with base 10: 'x'"),
+    (lambda: SimReport([[2, 0], [3, 0]], "x", CONFIG), PreconditionViolation,
+     "n_redraws must be an integer: invalid literal for int() with base 10: 'x'"),
 ], ids=["weight-str", "weight-None", "weight-complex", "weight-huge", "p_plus-str",
         "p_plus-None", "matrix-str", "matrix-entry-str", "matrix-ragged", "xi-str", "xi-None",
-        "eta-str", "cosine-None", "cosine-str", "lam-str", "lam-huge"])
+        "eta-str", "cosine-None", "cosine-str", "lam-str", "lam-huge", "report-config-str",
+        "report-counts-str", "report-redraws-str"])
 def test_a_value_that_is_no_real_number_raises_the_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -264,7 +275,9 @@ def test_a_value_that_is_no_real_number_raises_the_typed_error(call, error, mess
     (lambda: AnglePair(True, np.int64(1)), AnglePair(1.0, 1.0)),
     (lambda: SignConvention(np.bool_(True), -1), SignConvention(1.0, -1.0)),
     (lambda: InterferenceCoefficient(math.nan), InterferenceCoefficient(None)),
-], ids=["weights", "p_plus", "matrix", "angles", "cosines", "nan-lam"])
+    (lambda: SimReport([[2.0, 0], ["3", np.int8(0)]], np.float64(2.0), CONFIG),
+     SimReport(np.array([[2, 0], [3, 0]]), 2, CONFIG)),
+], ids=["weights", "p_plus", "matrix", "angles", "cosines", "nan-lam", "report"])
 def test_a_real_number_of_any_type_builds_the_object_its_float_builds(call, same):
     assert repr(call()) == repr(same)  # the values and their types
 
@@ -277,8 +290,6 @@ def test_a_coefficient_keeps_the_value_it_was_given():
 
 # ---------------------------------------------------------------- public functions
 
-ANGLES, UNIFORM = AnglePair(0.7, 0.3), BinaryDistribution.uniform()
-CONFIG = SimConfig(ANGLES, UNIFORM, 5, 1)
 # Each function in __all__ with positional arguments it accepts; a count is small,
 # so a call that accepts its arguments returns quickly.
 FUNCTIONS = {

@@ -720,6 +720,37 @@ def run_pinned(argv: list[str], tmp) -> dict:
 PINNED_PATH = Path(__file__).with_name("cli_pinned.json")
 
 
+def expected_output(pinned: dict, case: str) -> dict:
+    """What ``run_pinned`` gives for ``case``: its pin, with today's stderr."""
+    expected = dict(pinned[case])
+    expected["stderr"] = CHANGED_STDERR.get(case, expected["stderr"])
+    return expected
+
+
+# One case for each command that prints floats, both time modes and both baselines. A
+# child interpreter runs them after ``setup``, which comes before contextprob loads, and
+# prints what each wrote, the dispatch targets numpy left on and the counting workers.
+MACHINE_CASES = ["epr-json", "verify-json", "simulate-uniform-square-trace",
+                 "simulate-fixed-order-trace", "chsh-deterministic-sign-json",
+                 "chsh-random-local-json"]
+MACHINE_CHILD = """
+import json, os, sys
+from pathlib import Path
+{setup}
+sys.path.insert(0, {tests!r})
+import numpy._core._multiarray_umath as umath
+import test_cli
+from contextprob import simulation
+outputs = {{}}
+for case in test_cli.MACHINE_CASES:
+    (tmp := Path(sys.argv[1], case)).mkdir()
+    outputs[case] = test_cli.run_pinned(test_cli.PINNED_CASES[case], tmp)
+dispatched = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name]]
+print(json.dumps({{"outputs": outputs, "dispatched": dispatched,
+                  "workers": simulation._WORKERS}}))
+"""
+
+
 class TestPinnedOutput:
     @pytest.fixture(scope="class")
     def pinned(self):
@@ -730,9 +761,30 @@ class TestPinnedOutput:
 
     @pytest.mark.parametrize("case", sorted(PINNED_CASES))
     def test_output_matches_pin(self, case, pinned, tmp_path):
-        expected = dict(pinned[case])
-        expected["stderr"] = CHANGED_STDERR.get(case, expected["stderr"])
-        assert run_pinned(PINNED_CASES[case], tmp_path) == expected
+        assert run_pinned(PINNED_CASES[case], tmp_path) == expected_output(pinned, case)
+
+    @pytest.mark.parametrize("setting", ["no-cpu-dispatch", "one-cpu", "hash-seed"])
+    def test_bytes_do_not_depend_on_the_machine(self, setting, pinned, tmp_path, run_python):
+        # numpy's dispatched kernels off, one counting worker, or another hash seed
+        dispatch = np._core._multiarray_umath.__cpu_dispatch__
+        env, setup = {}, ""
+        if setting == "no-cpu-dispatch":
+            env["NPY_DISABLE_CPU_FEATURES"] = " ".join(dispatch)
+        elif setting == "one-cpu":
+            if not hasattr(os, "sched_setaffinity"):
+                pytest.skip("os.sched_setaffinity is missing")
+            setup = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"
+        else:
+            env["PYTHONHASHSEED"] = "12345"
+        code = MACHINE_CHILD.format(setup=setup, tests=str(Path(__file__).parent))
+        child = run_python("-c", code, str(tmp_path), env=env)
+        assert child.returncode == 0, child.stderr
+        shown = json.loads(child.stdout)
+        assert shown["outputs"] == {case: expected_output(pinned, case) for case in MACHINE_CASES}
+        if setting == "no-cpu-dispatch":
+            assert shown["dispatched"] == []
+        if setting == "one-cpu":
+            assert shown["workers"] == 1
 
 
 # ---------------------------------------------------------------- start-up

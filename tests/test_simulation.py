@@ -334,6 +334,13 @@ class TestSimReport:
         assert not np.signbit(report.std_errors[:, 0]).any()
         assert report.estimated_conditionals[:, 1].tolist() == [0.3, 1.0 - 0.3]
 
+    @pytest.mark.parametrize("counts", [np.float64(math.nan),
+                                        np.array([[math.inf, 3.0], [7.0, 0.0]])])
+    def test_a_non_finite_count_is_rejected_without_a_warning(self, counts):
+        # the cast of a NaN or inf to int64 warns; the count it gives fails a check
+        with pytest.raises(PreconditionViolation):
+            SimReport(counts, 0, config(n=10))
+
     def test_arrays_are_read_only(self):
         report = SimReport(np.array([[3, 1], [7, 9]]), 0, config(n=20))
         for arr in (report.counts, report.estimated_conditionals, report.std_errors):
@@ -439,37 +446,26 @@ class TestLhvBaseline:
         s2 = lhv_baseline_chsh(*OPTIMAL, LhvStrategy.DETERMINISTIC_SIGN, 50_000, 21)
         assert s1 == s2
 
-    def test_random_local_reads_each_side_of_a_range_from_one_stream(self, monkeypatch):
-        # a stream per block of side b would read the same words, slower (about 10 us a
-        # build): at most one per range and side, two ranges per setting pair (range 1 takes
-        # over range 0's side b if range 0 ends first)
-        monkeypatch.setattr(simulation, "_WORKERS", 2)
-        monkeypatch.setattr(simulation, "_BLOCK", 64)
-        expected = lhv_baseline_chsh(*OPTIMAL, LhvStrategy.RANDOM_LOCAL, 1_000, 3)
+    @pytest.mark.parametrize("workers, block", [(1, 64), (2, 64), (3, 100), (2, 1 << 15)])
+    def test_random_local_reads_each_block_s_side_b_from_word_n_plus_lo(
+        self, monkeypatch, workers, block
+    ):
+        # side a of trials lo .. lo + m - 1 is words lo .. lo + m - 1, side b words n + lo
+        # on, from a stream of its own per block, however the trials are cut into ranges
+        monkeypatch.setattr(simulation, "_WORKERS", workers)
+        monkeypatch.setattr(simulation, "_BLOCK", block)
+        n, key = 1_000, simulation._philox_key(3)
         builds, stream = [], simulation._stream
-        monkeypatch.setattr(simulation, "_stream", lambda *args: builds.append(args) or stream(*args))
-        assert lhv_baseline_chsh(*OPTIMAL, LhvStrategy.RANDOM_LOCAL, 1_000, 3) == expected
-        assert len(builds) <= 4 * 2 * 2
-
-    def test_random_local_hands_on_a_side_b_stream_only_once_it_has_read(self, monkeypatch):
-        # Range 1 (trials 500 .. 999) draws its side-a block 20 ms late, and range 0 its
-        # side-b block 50 ms late: a stream filed for trial 500 before its draw would be
-        # taken by range 1, which would read side b's trials 0 .. 499 first
-        monkeypatch.setattr(simulation, "_WORKERS", 2)
-        expected = lhv_baseline_chsh(*OPTIMAL, LhvStrategy.RANDOM_LOCAL, 1_000, 3)
-        stream, delays = simulation._stream, {500: 0.02, 1_000: 0.05}
-
-        class Late:
-            def __init__(self, key, start, width):
-                self.bitgen, self.delay = stream(key, start, width), delays.get(start, 0.0)
-
-            def random_raw(self, size):  # only the stream's first draw is late
-                delay, self.delay = self.delay, 0.0
-                time.sleep(delay)
-                return self.bitgen.random_raw(size)
-
-        monkeypatch.setattr(simulation, "_stream", Late)
-        assert lhv_baseline_chsh(*OPTIMAL, LhvStrategy.RANDOM_LOCAL, 1_000, 3) == expected
+        monkeypatch.setattr(simulation, "_stream",
+                            lambda *args: builds.append(args[1:]) or stream(*args))
+        words = np.random.Philox(key=key).random_raw(2 * n) >= 1 << 63
+        agree = simulation._coin_agreements(0.0, 0.0, n, key)
+        assert agree == np.count_nonzero(words[:n] == words[n:])
+        step = -(-block // workers)
+        starts = [n * w // workers for w in range(workers + 1)]
+        blocks = [lo for w in range(workers) for lo in range(starts[w], starts[w + 1], step)]
+        assert sorted(builds) == sorted([(lo, 1) for lo in starts[:-1]]
+                                        + [(n + lo, 1) for lo in blocks])
 
     def test_rejects_zero_trials(self):
         with pytest.raises(InvalidCount):

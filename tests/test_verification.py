@@ -326,6 +326,25 @@ class TestFailingChecksReportTheirWorstResidual:
 # ---------------------------------------------------------------- kernels vs math
 
 
+class TestUniformDrawsArePinned:
+    """``verify`` draws its samples with ``default_rng(seed).uniform``; a numpy whose
+    generator or scaling differs fails here, by name, not only in pinned digests."""
+
+    @pytest.mark.parametrize("seed, values", [
+        (0, ["0x1.b89ac06c69d18p+0", "0x1.1442f7e20b674p-2",
+             "-0x1.712bc66ce71ddp+2", "0x1.0ec9ed84d0bc0p-6"]),
+        (1, ["0x1.303d8f79e5900p-3", "0x1.e6a32d7782a55p-1",
+             "-0x1.1e2f0ed25d9e8p+2", "0x1.e5b5615da558dp-1"]),
+        (2**64 - 1, ["0x1.2192749e199a8p+1", "0x1.b0ccb3ebe6704p-1",
+                     "-0x1.8c2b81b91ccf7p+2", "0x1.ca04d55e33445p-1"]),
+    ])
+    def test_default_rng_uniform_gives_the_stored_values(self, seed, values):
+        # bounds per column, as the correlation check draws its (delta, q) pairs
+        rng = np.random.default_rng(seed)
+        draws = rng.uniform([-2.0 * np.pi, 0.0], [2.0 * np.pi, 1.0], size=(2, 2))
+        assert draws.ravel().tolist() == [float.fromhex(value) for value in values]
+
+
 class TestKernelsMatchScalarMath:
     """The vectorized trig and square kernels must round exactly like
     ``math.sin(x) ** 2`` and ``math.cos(x) ** 2``; a platform whose vector
