@@ -381,16 +381,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_epr = sub.add_parser(
         "epr", help="closed-form conditionals next to the interference reconstruction"
     )
-    p_epr.add_argument("--xi", type=_float_arg, required=True, help="first angle, in (0, pi/2)")
-    p_epr.add_argument("--eta", type=_float_arg, required=True, help="second angle, in (0, pi/2)")
-    p_epr.add_argument("--unit", choices=("rad", "deg"), default="rad",
-                       help="unit of the angle arguments (default: rad)")
+    p_verify = sub.add_parser("verify", help="randomized self-checks")
+    p_sim = sub.add_parser("simulate", help="one seeded ensemble of selection/measurement trials")
+    for command in (p_epr, p_sim):
+        command.add_argument("--xi", type=_float_arg, required=True,
+                             help="first angle, in (0, pi/2)")
+        command.add_argument("--eta", type=_float_arg, required=True,
+                             help="second angle, in (0, pi/2)")
+        command.add_argument("--unit", choices=("rad", "deg"), default="rad",
+                             help="unit of the angle arguments (default: rad)")
+
     p_epr.add_argument("--flip-signs", action="store_true",
                        help="use phase cosines (+1, -1) instead of (-1, +1)")
     p_epr.add_argument("--marginal", type=_float_arg, default=0.5,
                        help="selection marginal p(+) for the correlation (default: 0.5)")
 
-    p_verify = sub.add_parser("verify", help="randomized self-checks")
     p_verify.add_argument("--samples", type=_positive_int, default=1000,
                           help="samples per check (default: 1000)")
     p_verify.add_argument("--seed", type=_uint64, default=None,
@@ -398,11 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--break-phase-flip", action="store_true",
                           help="negative control: suppress the cross-context phase flip")
 
-    p_sim = sub.add_parser("simulate", help="one seeded ensemble of selection/measurement trials")
-    p_sim.add_argument("--xi", type=_float_arg, required=True, help="first angle, in (0, pi/2)")
-    p_sim.add_argument("--eta", type=_float_arg, required=True, help="second angle, in (0, pi/2)")
-    p_sim.add_argument("--unit", choices=("rad", "deg"), default="rad",
-                       help="unit of the angle arguments (default: rad)")
     p_sim.add_argument("--marginal", type=_float_arg, default=0.5,
                        help="selection marginal p(+) (default: 0.5)")
     p_sim.add_argument("--n", type=_positive_int, required=True, help="number of trials")
@@ -493,7 +493,10 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> None:
     """Run ``main`` as the whole process: freeze the heap, so exit's collections skip
     what dies with the process, then exit with its status. ``main`` freezes nothing.
-    An interrupt (SIGINT) ends the process with one line and status 130."""
+    An interrupt (SIGINT) ends the process with one line and status 130. Unless the
+    caller set it, ``OPENBLAS_NUM_THREADS`` is 1, so numpy's import starts no BLAS
+    threads: nothing here calls BLAS."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         status = main()
     except KeyboardInterrupt:

@@ -278,9 +278,11 @@ def _event_times(words: np.ndarray, mode: TimeDistribution) -> tuple[np.ndarray,
 
 
 # a trace line is _HEAD, its selection time, _MIDDLE, its measurement time and
-# the tail of its gamma and beta, indexed by its cell 2 * beta_minus + gamma_minus
+# the tail of its gamma and beta, indexed by its cell 2 * beta_minus + gamma_minus;
+# inside a block each tail is written with the next line's head, as one _SEAMS part
 _HEAD, _MIDDLE = '{"t_selection": ', ', "t_measurement": '
 _TAILS = tuple(f', "gamma": {g}, "beta": {b}}}\n' for b in (1, -1) for g in (1, -1))
+_SEAMS = np.array([tail + _HEAD for tail in _TAILS], dtype=object)
 
 
 def _time_texts(words: np.ndarray) -> list[str]:
@@ -305,12 +307,15 @@ def _write_trial_lines(stream: IO[str], t_sel: np.ndarray, t_meas: np.ndarray,
                        cells: np.ndarray) -> None:
     # One JSON object per line with keys t_selection, t_measurement, gamma,
     # beta in that order, the bytes json.dumps gives: it writes a float as its
-    # repr. The block's lines are joined from their five parts and written at
-    # once; only one block's text is held at a time.
-    parts = [_HEAD, "", _MIDDLE, "", ""] * len(cells)
-    parts[1::5] = _time_texts(t_sel)
-    parts[3::5] = _time_texts(t_meas)
-    parts[4::5] = map(_TAILS.__getitem__, cells.tolist())
+    # repr. The block's times are formatted in one pass, in line order, and its
+    # m lines joined from 4m + 1 parts: the head, then per line its two times
+    # around _MIDDLE and its seam, the last line its tail alone. The block's text
+    # is written at once; only one block's text is held at a time.
+    parts = [_MIDDLE] * (4 * len(cells) + 1)
+    parts[0] = _HEAD
+    parts[1::2] = _time_texts(np.column_stack((t_sel, t_meas)).ravel())
+    parts[4::4] = _SEAMS[cells].tolist()
+    parts[-1] = _TAILS[cells[-1]]
     stream.write("".join(parts))
 
 

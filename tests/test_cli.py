@@ -961,6 +961,17 @@ class TestProcessEntry:
         assert run(capsys, *VERIFY)[0] == 0
         assert gc.get_freeze_count() == before
 
+    @pytest.mark.parametrize("given, kept", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")],
+                             ids=["unset", "set"])
+    def test_the_process_starts_one_blas_thread_unless_told(self, monkeypatch, given, kept):
+        environ = dict(given)  # in place of os.environ, so no later child inherits the value
+        monkeypatch.setattr(os, "environ", environ)
+        monkeypatch.setattr(sys, "argv", ["contextprob", *VERIFY])
+        monkeypatch.setattr(gc, "freeze", lambda: None)  # this test's heap stays collectable
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry()
+        assert (exit_.value.code, environ) == (0, {"OPENBLAS_NUM_THREADS": kept})
+
     @pytest.mark.parametrize("case", ["verify-table", "verify-break-phase-flip-csv",
                                       "verify-zero-samples", "help"])
     def test_the_module_run_writes_the_pinned_bytes(self, run_python, case):

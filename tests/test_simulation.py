@@ -1451,3 +1451,27 @@ class TestTimeTexts:
     @given(words=st.lists(st.integers(0, 2**53), min_size=1, max_size=64))
     def test_any_words(self, words):
         assert_time_texts_are_reprs(words)
+
+
+# grid words of the times, with every patched small time and both sides of the cut
+TIME_WORDS = st.one_of(
+    st.sampled_from([0, 1 << 53, *(w >> 11 for w in SMALL_TIME_WORDS),
+                     TestTimeTexts.CUT, TestTimeTexts.CUT + 1]),
+    st.integers(0, 2**53),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(TIME_WORDS, TIME_WORDS, st.integers(0, 3)).filter(lambda t: t[0] != t[1]),
+                min_size=1, max_size=70))
+def test_a_block_of_trial_lines_is_the_json_dumps_of_its_trials(trials):
+    # a block's lines, from its first head to its last tail, for any block size
+    t_sel = np.array([min(a, b) for a, b, _ in trials], np.uint64)
+    t_meas = np.array([max(a, b) for a, b, _ in trials], np.uint64)
+    cells = np.array([cell for *_, cell in trials], np.uint8)
+    log = io.StringIO()
+    simulation._write_trial_lines(log, t_sel, t_meas, cells)
+    assert log.getvalue() == "".join(
+        json.dumps({"t_selection": a * 2.0**-53, "t_measurement": b * 2.0**-53,
+                    "gamma": 1 - 2 * (cell & 1), "beta": 1 - 2 * (cell >> 1)}) + "\n"
+        for a, b, cell in zip(t_sel.tolist(), t_meas.tolist(), cells.tolist()))
